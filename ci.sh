@@ -69,21 +69,15 @@ echo "==> chaos robustness suite (PREPARE_WORKERS=4)"
 PREPARE_WORKERS=4 cargo test --offline --quiet --test chaos
 
 # The fleet differential suite drives golden and chaotic 96-VM fleets
-# through both tick paths and asserts the traces are byte-identical.
-# Run it with the sparse path selected (default) and with the dense
-# referee pinned via PREPARE_DENSE_TICK=1, at both worker counts, so a
-# sparse-vs-dense divergence names the exact engine setting.
-echo "==> fleet differential suite, sparse tick path (PREPARE_WORKERS=1)"
+# through both tick paths (each test names the sparse path and the
+# dense referee itself) and asserts the traces are byte-identical, at
+# both worker counts, so a sparse-vs-dense divergence names the engine
+# setting.
+echo "==> fleet differential suite (PREPARE_WORKERS=1)"
 PREPARE_WORKERS=1 cargo test --offline --quiet --test fleet_differential
 
-echo "==> fleet differential suite, sparse tick path (PREPARE_WORKERS=4)"
+echo "==> fleet differential suite (PREPARE_WORKERS=4)"
 PREPARE_WORKERS=4 cargo test --offline --quiet --test fleet_differential
-
-echo "==> fleet differential suite, dense referee pinned (PREPARE_DENSE_TICK=1, PREPARE_WORKERS=1)"
-PREPARE_DENSE_TICK=1 PREPARE_WORKERS=1 cargo test --offline --quiet --test fleet_differential
-
-echo "==> fleet differential suite, dense referee pinned (PREPARE_DENSE_TICK=1, PREPARE_WORKERS=4)"
-PREPARE_DENSE_TICK=1 PREPARE_WORKERS=4 cargo test --offline --quiet --test fleet_differential
 
 # The crash-point sweep proves recovery equivalence: a controller killed
 # before any post-prefix round and rebuilt from its last checkpoint plus

@@ -163,7 +163,7 @@ impl AnomalyPredictor {
     /// The labeled-rows training core every entry point funnels through:
     /// [`AnomalyPredictor::train_par`] resolves each sample's label from
     /// the SLO log and delegates here, and the incremental fleet trainer's
-    /// from-scratch referee replays its retained `(vector, label)` window
+    /// from-scratch referee replays its labeled history
     /// through this exact path. Fitting the discretizer, discretizing the
     /// batch, building the TAN dataset, and training the per-attribute
     /// value models all happen in the same order with the same folds as

@@ -1,14 +1,20 @@
 //! Incremental online training for a fleet of per-VM predictors.
 //!
 //! Retraining a [`AnomalyPredictor`] from scratch rescans the whole
-//! training window: it re-fits the discretizer, re-discretizes every
+//! training history: it re-fits the discretizer, re-discretizes every
 //! sample, re-counts every Markov transition, and re-accumulates every
 //! TAN sufficient statistic. All of those quantities are *additive* in
-//! the samples, so a [`FleetTrainer`] maintains them across rounds and
-//! turns a retrain into (a) applying the delta of samples that entered or
-//! left the window since the last one and (b) deriving fresh model
-//! objects from the maintained state — skipping the window rescan
-//! entirely whenever the discretization basis is stable.
+//! the samples, so a [`FleetTrainer`] maintains them as samples arrive
+//! and turns a retrain into deriving fresh model objects from the
+//! maintained state — skipping the history rescan entirely whenever the
+//! discretization basis is stable.
+//!
+//! The history only grows: the controller re-fits on everything it has
+//! seen, so a sample never leaves a slot. The trainer is also the *only*
+//! owner of that history — each slot keeps its time-stamped
+//! [`TimeSeries`], one [`Label`] per row, and just the last two
+//! discretized rows, which are all a new sample's Markov transitions
+//! read.
 //!
 //! # Arena layout
 //!
@@ -27,38 +33,40 @@
 //! # Exactness contract
 //!
 //! [`FleetTrainer::derive`] is **bit-identical** to retraining from
-//! scratch ([`FleetTrainer::train_reference`], which replays the retained
-//! window through [`AnomalyPredictor::train_labeled_par`]) — equality,
-//! not tolerance. The workspace's replay contract pins traces
-//! byte-for-byte, so an "almost equal" incremental path would silently
-//! fork the trace catalogue. The equality is structural, not numeric
-//! luck: counts are integer-valued `f64` (exact up to 2⁵³, so ±1.0
-//! deltas commute and cancel exactly), and every count→probability
-//! derivation is shared with the from-scratch path rather than
-//! re-implemented. When a new sample widens an attribute's observed
-//! range the discretization basis shifts and every stored count is built
-//! on the wrong bins — the slot is marked *dirty* and the next
-//! [`FleetTrainer::refresh`] rebuilds it wholesale; there is no
-//! incremental shortcut across a basis change.
+//! scratch (replaying the slot's labeled history through
+//! [`AnomalyPredictor::train_labeled_par`]) — equality, not tolerance.
+//! The workspace's replay contract pins traces byte-for-byte, so an
+//! "almost equal" incremental path would silently fork the trace
+//! catalogue. The equality is structural, not numeric luck: counts are
+//! integer-valued `f64` (exact up to 2⁵³, so +1.0 deltas commute), and
+//! every count→probability derivation is shared with the from-scratch
+//! path rather than re-implemented. When a new sample widens an
+//! attribute's observed range the discretization basis shifts and every
+//! stored count is built on the wrong bins — the slot is marked *dirty*
+//! and the next [`FleetTrainer::refresh`] rebuilds it wholesale from its
+//! series; there is no incremental shortcut across a basis change.
 
 use crate::{AnomalyPredictor, MarkovKind, PredictorConfig, ValueModel};
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::{
-    AttributeKind, DiscreteVector, Discretizer, Label, MetricVector, VectorDiscretizer,
+    AttributeKind, DiscreteVector, Discretizer, Label, MetricSample, TimeSeries, VectorDiscretizer,
     ATTRIBUTE_COUNT,
 };
 use prepare_tan::{TanStats, TrainError};
-use std::collections::VecDeque;
+use std::ops::Range;
+
+/// Discretized rows a slot keeps: a new sample's first-order transition
+/// reads the last one, its combined-state transition the last two.
+const TAIL_ROWS: usize = 2;
 
 /// Incrementally maintained training state for a fleet of per-VM
 /// predictors, one *slot* per VM.
 ///
-/// Feed each slot its labeled samples with [`FleetTrainer::push`] (and
-/// age bounded windows with [`FleetTrainer::retire_front`]); call
+/// Feed each slot its labeled samples with [`FleetTrainer::push`]; call
 /// [`FleetTrainer::refresh`] to rebuild any slots whose discretization
-/// basis shifted, then [`FleetTrainer::derive`] to materialize a trained
-/// predictor — bit-identical to [`FleetTrainer::train_reference`], the
-/// from-scratch rebuild of the same window.
+/// basis shifted, then [`FleetTrainer::derive`] (or
+/// [`FleetTrainer::derive_batch`]) to materialize a trained predictor —
+/// bit-identical to a from-scratch rebuild of the same history.
 // xtask: checkpoint
 #[derive(Debug, Clone)]
 pub struct FleetTrainer {
@@ -73,30 +81,23 @@ pub struct FleetTrainer {
     fallback: Vec<f64>,
     /// TAN sufficient statistics, one per slot.
     tan: Vec<TanStats>,
-    /// Running per-attribute min/max over each slot's window
+    /// Running per-attribute min/max over each slot's history
     /// (`slots × ATTRIBUTE_COUNT`); `None` until a finite value arrives.
     ranges: Vec<Option<(f64, f64)>>,
     /// The per-attribute discretizers the counts were accumulated under
     /// (`slots × ATTRIBUTE_COUNT`). Valid only while the slot is clean.
     basis: Vec<Discretizer>,
-    /// Retained training windows: the labeled samples the maintained
-    /// statistics summarize, in arrival order.
-    windows: Vec<VecDeque<(MetricVector, Label)>>,
-    /// Each window row discretized under the slot's basis; in sync with
-    /// `windows` only while the slot is clean.
-    discrete: Vec<VecDeque<DiscreteVector>>,
+    /// Each slot's sample history in arrival order — the samples the
+    /// maintained statistics summarize.
+    series: Vec<TimeSeries>,
+    /// One label per `series` row.
+    labels: Vec<Vec<Label>>,
+    /// The last (at most [`TAIL_ROWS`]) rows of each slot's series,
+    /// discretized under its basis; in sync only while the slot is clean.
+    tail: Vec<Vec<DiscreteVector>>,
     /// Slots whose basis shifted: counts are stale until the next
     /// [`FleetTrainer::refresh`].
     dirty: Vec<bool>,
-    /// Per-slot window-content generation: bumped by every
-    /// [`push`](FleetTrainer::push) and
-    /// [`retire_front`](FleetTrainer::retire_front). A cached derivation
-    /// is valid exactly while the slot's generation is unchanged.
-    generation: Vec<u64>,
-    /// Memoized [`derive`](FleetTrainer::derive) results keyed on the
-    /// generation they were derived at (successful derivations only).
-    // xtask: ephemeral -- memo cache, re-derived on demand after restore
-    cache: Vec<Option<(u64, AnomalyPredictor)>>,
 }
 
 impl Persist for FleetTrainer {
@@ -108,23 +109,23 @@ impl Persist for FleetTrainer {
         self.tan.store(w);
         self.ranges.store(w);
         self.basis.store(w);
-        self.windows.store(w);
-        self.discrete.store(w);
+        self.series.store(w);
+        self.labels.store(w);
+        self.tail.store(w);
         self.dirty.store(w);
-        self.generation.store(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let config = PredictorConfig::load(r)?;
         let slots = r.get_usize()?;
         let combined: Vec<f64> = Persist::load(r)?;
         let fallback: Vec<f64> = Persist::load(r)?;
-        let tan: Vec<prepare_tan::TanStats> = Persist::load(r)?;
+        let tan: Vec<TanStats> = Persist::load(r)?;
         let ranges: Vec<Option<(f64, f64)>> = Persist::load(r)?;
         let basis: Vec<Discretizer> = Persist::load(r)?;
-        let windows: Vec<VecDeque<(MetricVector, Label)>> = Persist::load(r)?;
-        let discrete: Vec<VecDeque<DiscreteVector>> = Persist::load(r)?;
+        let series: Vec<TimeSeries> = Persist::load(r)?;
+        let labels: Vec<Vec<Label>> = Persist::load(r)?;
+        let tail: Vec<Vec<DiscreteVector>> = Persist::load(r)?;
         let dirty: Vec<bool> = Persist::load(r)?;
-        let generation: Vec<u64> = Persist::load(r)?;
         if slots == 0 {
             return Err(PersistError::Invalid("FleetTrainer slot count"));
         }
@@ -138,18 +139,38 @@ impl Persist for FleetTrainer {
             || tan.len() != slots
             || ranges.len() != slots * ATTRIBUTE_COUNT
             || basis.len() != slots * ATTRIBUTE_COUNT
-            || windows.len() != slots
-            || discrete.len() != slots
+            || series.len() != slots
+            || labels.len() != slots
+            || tail.len() != slots
             || dirty.len() != slots
-            || generation.len() != slots
         {
             return Err(PersistError::Invalid("FleetTrainer arena arity"));
         }
-        // A clean slot keeps its discretized rows in sync with its
-        // retained window; a mismatch means the bytes are corrupt.
-        for ((is_dirty, rows), window) in dirty.iter().zip(&discrete).zip(&windows) {
-            if !is_dirty && rows.len() != window.len() {
-                return Err(PersistError::Invalid("FleetTrainer clean-slot window sync"));
+        // Pushes index the arenas with basis symbols and feed TAN rows of
+        // `n`-valued symbols: every basis and TAN table must use `n` bins.
+        if basis.iter().any(|d| d.bins() != n)
+            || tan
+                .iter()
+                .any(|t| t.cardinalities() != [n; ATTRIBUTE_COUNT])
+        {
+            return Err(PersistError::Invalid("FleetTrainer bin count"));
+        }
+        if series.iter().zip(&labels).any(|(s, l)| s.len() != l.len()) {
+            return Err(PersistError::Invalid("FleetTrainer series/label length"));
+        }
+        // Tail symbols index the count arenas on the next push, so a
+        // row must be full width with every symbol inside the bins.
+        if tail
+            .iter()
+            .flatten()
+            .any(|row| row.len() != ATTRIBUTE_COUNT || row.iter().any(|&d| d >= n))
+        {
+            return Err(PersistError::Invalid("FleetTrainer tail row width"));
+        }
+        // A clean slot keeps the discretized tail of its series.
+        for ((&is_dirty, rows), s) in dirty.iter().zip(&tail).zip(&series) {
+            if rows.len() > TAIL_ROWS || (!is_dirty && rows.len() != s.len().min(TAIL_ROWS)) {
+                return Err(PersistError::Invalid("FleetTrainer clean-slot tail sync"));
             }
         }
         Ok(FleetTrainer {
@@ -160,11 +181,10 @@ impl Persist for FleetTrainer {
             tan,
             ranges,
             basis,
-            windows,
-            discrete,
+            series,
+            labels,
+            tail,
             dirty,
-            generation,
-            cache: (0..slots).map(|_| None).collect(),
         })
     }
 }
@@ -174,14 +194,59 @@ impl Persist for FleetTrainer {
 struct RebuiltSlot {
     slot: usize,
     basis: Vec<Discretizer>,
-    discrete: VecDeque<DiscreteVector>,
+    tail: Vec<DiscreteVector>,
     tan: TanStats,
     combined: Vec<f64>,
     fallback: Vec<f64>,
 }
 
+/// Adds the Markov transitions a new `row` closes to one slot's count
+/// arenas: the first-order transition from the last tail row, plus the
+/// combined-state transition once two predecessors exist (`combined` is
+/// empty for [`MarkovKind::Simple`]). Both arenas are the slot's own
+/// `ATTRIBUTE_COUNT`-attribute blocks.
+// xtask: hot-path
+fn count_transitions(
+    fallback: &mut [f64],
+    combined: &mut [f64],
+    tail: &[DiscreteVector],
+    row: &[usize],
+    n: usize,
+) {
+    let Some((prev1, older)) = tail.split_last() else {
+        return;
+    };
+    let prev2 = if combined.is_empty() {
+        None
+    } else {
+        older.last()
+    };
+    // Deliberate flat-arena addressing: rows are ATTRIBUTE_COUNT wide by
+    // construction and symbols are < n from the discretizer.
+    for (a, &next) in row.iter().enumerate() {
+        // xtask-allow: index-in-loop -- tail rows are ATTRIBUTE_COUNT wide
+        let p1 = prev1[a];
+        // xtask-allow: index-in-loop -- symbols < n from the discretizer
+        fallback[(a * n + p1) * n + next] += 1.0;
+        if let Some(prev2) = prev2 {
+            // xtask-allow: index-in-loop -- tail rows are ATTRIBUTE_COUNT wide
+            let p2 = prev2[a];
+            // xtask-allow: index-in-loop -- symbols < n from the discretizer
+            combined[((a * n + p2) * n + p1) * n + next] += 1.0;
+        }
+    }
+}
+
+/// Appends `row` to a tail, keeping only the last [`TAIL_ROWS`] rows.
+fn push_tail(tail: &mut Vec<DiscreteVector>, row: DiscreteVector) {
+    if tail.len() == TAIL_ROWS {
+        tail.remove(0);
+    }
+    tail.push(row);
+}
+
 impl FleetTrainer {
-    /// Creates a trainer with `slots` empty per-VM windows.
+    /// Creates a trainer with `slots` empty per-VM histories.
     ///
     /// # Panics
     ///
@@ -206,11 +271,10 @@ impl FleetTrainer {
             basis: (0..slots * ATTRIBUTE_COUNT)
                 .map(|_| Discretizer::fit_span(None, n))
                 .collect(),
-            windows: (0..slots).map(|_| VecDeque::new()).collect(),
-            discrete: (0..slots).map(|_| VecDeque::new()).collect(),
+            series: vec![TimeSeries::new(); slots],
+            labels: vec![Vec::new(); slots],
+            tail: vec![Vec::new(); slots],
             dirty: vec![false; slots],
-            generation: vec![0; slots],
-            cache: (0..slots).map(|_| None).collect(),
         }
     }
 
@@ -219,9 +283,13 @@ impl FleetTrainer {
         self.slots
     }
 
-    /// Number of retained samples in `slot`'s window.
-    pub fn window_len(&self, slot: usize) -> usize {
-        self.windows[slot].len()
+    /// The sample history of `slot`, in arrival order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn series(&self, slot: usize) -> &TimeSeries {
+        &self.series[slot]
     }
 
     /// Whether `slot`'s maintained counts are stale (its basis shifted
@@ -230,40 +298,34 @@ impl FleetTrainer {
         self.dirty[slot]
     }
 
-    fn fb_slice(&mut self, slot: usize, attr: usize) -> &mut [f64] {
-        let n2 = self.config.bins * self.config.bins;
-        let off = (slot * ATTRIBUTE_COUNT + attr) * n2;
-        &mut self.fallback[off..off + n2]
+    /// Where `slot`'s blocks sit in the `fallback` and `combined` arenas.
+    fn arena_ranges(&self, slot: usize) -> (Range<usize>, Range<usize>) {
+        let fb = ATTRIBUTE_COUNT * self.config.bins * self.config.bins;
+        let comb = self.combined.len() / self.slots;
+        (slot * fb..(slot + 1) * fb, slot * comb..(slot + 1) * comb)
     }
 
-    fn comb_slice(&mut self, slot: usize, attr: usize) -> &mut [f64] {
-        let n3 = self.config.bins * self.config.bins * self.config.bins;
-        let off = (slot * ATTRIBUTE_COUNT + attr) * n3;
-        &mut self.combined[off..off + n3]
-    }
-
-    /// Appends one labeled sample to `slot`'s window. If the sample stays
-    /// inside the slot's observed value ranges the maintained counts are
-    /// updated in place (the delta fast path); a range-widening sample
-    /// shifts the discretization basis instead, marking the slot dirty
-    /// for the next [`FleetTrainer::refresh`].
+    /// Appends one labeled sample to `slot`'s history. If the sample
+    /// stays inside the slot's observed value ranges the maintained
+    /// counts are updated in place (the delta fast path); a
+    /// range-widening sample shifts the discretization basis instead,
+    /// marking the slot dirty for the next [`FleetTrainer::refresh`].
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range.
-    pub fn push(&mut self, slot: usize, values: &MetricVector, label: Label) {
+    /// Panics if `slot` is out of range or `sample` is older than the
+    /// slot's last sample.
+    pub fn push(&mut self, slot: usize, sample: &MetricSample, label: Label) {
         assert!(slot < self.slots, "slot {slot} out of range");
-        if let Some(g) = self.generation.get_mut(slot) {
-            *g = g.wrapping_add(1);
-        }
-        self.windows[slot].push_back((*values, label));
+        self.series[slot].push(*sample);
+        self.labels[slot].push(label);
 
         // Running min/max update — the same left-fold `Discretizer::fit`
         // performs, one element at a time. A bit-level endpoint change
         // means the refit basis may differ: mark dirty.
         let mut range_changed = false;
         for (a, &attr) in AttributeKind::ALL.iter().enumerate() {
-            let v = values.get(attr);
+            let v = sample.values.get(attr);
             if !v.is_finite() {
                 continue;
             }
@@ -290,160 +352,28 @@ impl FleetTrainer {
         let row: DiscreteVector = AttributeKind::ALL
             .iter()
             .enumerate()
-            .map(|(a, &attr)| self.basis[slot * ATTRIBUTE_COUNT + a].discretize(values.get(attr)))
+            .map(|(a, &attr)| {
+                self.basis[slot * ATTRIBUTE_COUNT + a].discretize(sample.values.get(attr))
+            })
             .collect();
-        self.apply_push_deltas(slot, &row, label);
-        self.discrete[slot].push_back(row);
+        self.tan[slot].add_row(&row, label);
+        let (fb, comb) = self.arena_ranges(slot);
+        count_transitions(
+            &mut self.fallback[fb],
+            &mut self.combined[comb],
+            &self.tail[slot],
+            &row,
+            self.config.bins,
+        );
+        push_tail(&mut self.tail[slot], row);
     }
 
-    /// The delta-apply kernel of [`FleetTrainer::push`]: adds the new
-    /// row's TAN statistics and Markov transition counts (the leading
-    /// first-order transition, plus the combined-state transition once
-    /// two predecessors exist) directly into the arenas.
-    // xtask: hot-path
-    fn apply_push_deltas(&mut self, slot: usize, row: &DiscreteVector, label: Label) {
-        self.tan[slot].add_row(row, label);
-        let n = self.config.bins;
-        let len = self.discrete[slot].len();
-        if len == 0 {
-            return;
-        }
-        let two_dep = self.config.markov == MarkovKind::TwoDependent;
-        // Deliberate flat-arena addressing: rows are ATTRIBUTE_COUNT wide
-        // by construction, symbols are < n from the discretizer, and slot
-        // is asserted in range by the caller.
-        for (a, &next) in row.iter().enumerate() {
-            // xtask-allow: index-in-loop -- len = discrete[slot].len() >= 1 on this path
-            let prev1 = self.discrete[slot][len - 1][a];
-            // xtask-allow: index-in-loop -- symbols < n from the discretizer
-            self.fb_slice(slot, a)[prev1 * n + next] += 1.0;
-            if two_dep && len >= 2 {
-                // xtask-allow: index-in-loop -- len >= 2 checked on this branch
-                let prev2 = self.discrete[slot][len - 2][a];
-                // xtask-allow: index-in-loop -- symbols < n from the discretizer
-                self.comb_slice(slot, a)[(prev2 * n + prev1) * n + next] += 1.0;
-            }
-        }
-    }
-
-    /// Retires the oldest sample of `slot`'s window — the "samples that
-    /// left the window" half of a delta retrain. On the fast path the
-    /// sample's counts are subtracted exactly (integer-valued `f64`, so
-    /// the arena returns to its pre-[`push`](FleetTrainer::push) bits);
-    /// if the retired sample held an attribute's min or max the range is
-    /// rescanned and a shrink marks the slot dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range or its window is empty.
-    pub fn retire_front(&mut self, slot: usize) {
-        assert!(slot < self.slots, "slot {slot} out of range");
-        if let Some(g) = self.generation.get_mut(slot) {
-            *g = g.wrapping_add(1);
-        }
-        let (values, label) = self.windows[slot]
-            .pop_front()
-            .expect("retiring from an empty window"); // xtask-allow: expect -- documented panic: the window must be non-empty
-
-        let mut range_changed = false;
-        for (a, &attr) in AttributeKind::ALL.iter().enumerate() {
-            let v = values.get(attr);
-            if !v.is_finite() {
-                continue;
-            }
-            // xtask-allow: index-in-loop -- arena offset: slot asserted in range, a < ATTRIBUTE_COUNT
-            let r = &mut self.ranges[slot * ATTRIBUTE_COUNT + a];
-            let Some((lo, hi)) = *r else {
-                // xtask-allow: unreachable -- a finite value was folded into this range at push time
-                unreachable!("a finite value was pushed, the range cannot be empty")
-            };
-            // A value strictly inside the range cannot have been an
-            // endpoint of the fold; only endpoint hits need a rescan.
-            if lo < v && v < hi {
-                continue;
-            }
-            // xtask-allow: index-in-loop -- slot asserted in range above
-            let rescanned = Self::scan_range(&self.windows[slot], attr);
-            if rescanned.map(|(l, h)| (l.to_bits(), h.to_bits()))
-                != Some((lo.to_bits(), hi.to_bits()))
-            {
-                range_changed = true;
-            }
-            *r = rescanned;
-        }
-        if range_changed {
-            self.dirty[slot] = true;
-        }
-        if self.dirty[slot] {
-            return;
-        }
-
-        let front = self.discrete[slot]
-            .pop_front()
-            .expect("clean slot keeps discrete rows in sync with the window"); // xtask-allow: expect -- clean-slot invariant: discrete mirrors the window
-        self.apply_retire_deltas(slot, &front, label);
-    }
-
-    /// The delta-apply kernel of [`FleetTrainer::retire_front`]:
-    /// subtracts the retired row's TAN statistics, its leading
-    /// first-order transition, and (for the 2-dependent chain) the one
-    /// combined-state transition that loses its full context. The
-    /// second remaining row's first-order transition stays — it simply
-    /// becomes the new leading transition.
-    // xtask: hot-path
-    fn apply_retire_deltas(&mut self, slot: usize, front: &DiscreteVector, label: Label) {
-        self.tan[slot].retire_row(front, label);
-        let n = self.config.bins;
-        if self.discrete[slot].is_empty() {
-            return;
-        }
-        let two_dep = self.config.markov == MarkovKind::TwoDependent;
-        let remaining = self.discrete[slot].len();
-        // Deliberate flat-arena addressing, mirroring `apply_push_deltas`.
-        for (a, &d0) in front.iter().enumerate() {
-            // xtask-allow: index-in-loop -- non-empty checked on this path
-            let d1 = self.discrete[slot][0][a];
-            // xtask-allow: index-in-loop -- symbols < n from the discretizer
-            let cell = &mut self.fb_slice(slot, a)[d0 * n + d1];
-            assert!(*cell >= 1.0, "retiring an unrecorded transition");
-            *cell -= 1.0;
-            if two_dep && remaining >= 2 {
-                // xtask-allow: index-in-loop -- remaining >= 2 checked on this branch
-                let d2 = self.discrete[slot][1][a];
-                // xtask-allow: index-in-loop -- symbols < n from the discretizer
-                let cell = &mut self.comb_slice(slot, a)[(d0 * n + d1) * n + d2];
-                assert!(*cell >= 1.0, "retiring an unrecorded transition");
-                *cell -= 1.0;
-            }
-        }
-    }
-
-    /// The exact range fold of [`Discretizer::fit`] over a window's
-    /// remaining samples: filter to finite, left-fold min/max.
-    fn scan_range(
-        window: &VecDeque<(MetricVector, Label)>,
-        attr: AttributeKind,
-    ) -> Option<(f64, f64)> {
-        let mut range: Option<(f64, f64)> = None;
-        for (v, _) in window {
-            let x = v.get(attr);
-            if !x.is_finite() {
-                continue;
-            }
-            range = Some(match range {
-                None => (x, x),
-                Some((lo, hi)) => (lo.min(x), hi.max(x)),
-            });
-        }
-        range
-    }
-
-    /// Rebuilds every dirty slot from its retained window: refits the
-    /// basis from the maintained ranges, re-discretizes the window, and
-    /// re-counts the arenas. Dirty slots are sharded over contiguous
-    /// chunks ([`prepare_par::chunk_ranges`]); each rebuild reads only
-    /// its own slot's window, so the result is bit-identical for every
-    /// worker count.
+    /// Rebuilds every dirty slot from its series: refits the basis from
+    /// the maintained ranges, re-discretizes the history, and re-counts
+    /// the arenas. Dirty slots are sharded over contiguous chunks
+    /// ([`prepare_par::chunk_ranges`]); each rebuild reads only its own
+    /// slot's series, so the result is bit-identical for every worker
+    /// count.
     pub fn refresh(&mut self, par: &prepare_par::ParConfig) {
         let dirty_slots: Vec<usize> = (0..self.slots).filter(|&s| self.dirty[s]).collect();
         if dirty_slots.is_empty() {
@@ -463,18 +393,13 @@ impl FleetTrainer {
                 .iter_mut()
                 .zip(r.basis)
                 .for_each(|(dst, d)| *dst = d);
-            // xtask-allow: index-in-loop -- slot < self.slots
-            self.discrete[slot] = r.discrete;
-            self.tan[slot] = r.tan; // xtask-allow: index-in-loop -- slot < self.slots
-            let n = self.config.bins;
-            let n2 = n * n;
-            self.fallback[slot * ATTRIBUTE_COUNT * n2..(slot + 1) * ATTRIBUTE_COUNT * n2]
-                .copy_from_slice(&r.fallback);
-            if self.config.markov == MarkovKind::TwoDependent {
-                let n3 = n2 * n;
-                self.combined[slot * ATTRIBUTE_COUNT * n3..(slot + 1) * ATTRIBUTE_COUNT * n3]
-                    .copy_from_slice(&r.combined);
-            }
+            self.tail[slot] = r.tail; // xtask-allow: index-in-loop -- slot < self.slots
+            self.tan[slot] = r.tan;
+            let (fb, comb) = self.arena_ranges(slot);
+            // xtask-allow: index-in-loop -- arena_ranges of an in-range slot
+            self.fallback[fb].copy_from_slice(&r.fallback);
+            // xtask-allow: index-in-loop -- arena_ranges of an in-range slot
+            self.combined[comb].copy_from_slice(&r.combined);
             self.dirty[slot] = false; // xtask-allow: index-in-loop -- slot < self.slots
         }
     }
@@ -486,49 +411,25 @@ impl FleetTrainer {
         let basis: Vec<Discretizer> = (0..ATTRIBUTE_COUNT)
             .map(|a| Discretizer::fit_span(self.ranges[slot * ATTRIBUTE_COUNT + a], n))
             .collect();
-        let window = &self.windows[slot];
         let mut tan = TanStats::with_uniform_bins(ATTRIBUTE_COUNT, n);
-        let mut discrete: VecDeque<DiscreteVector> = VecDeque::with_capacity(window.len());
-        for (v, label) in window {
+        let (fb, comb) = self.arena_ranges(slot);
+        let mut fallback = vec![0.0; fb.len()];
+        let mut combined = vec![0.0; comb.len()];
+        let mut tail: Vec<DiscreteVector> = Vec::with_capacity(TAIL_ROWS);
+        for (s, &label) in self.series[slot].iter().zip(&self.labels[slot]) {
             let row: DiscreteVector = AttributeKind::ALL
                 .iter()
                 .zip(&basis)
-                .map(|(&attr, d)| d.discretize(v.get(attr)))
+                .map(|(&attr, d)| d.discretize(s.values.get(attr)))
                 .collect();
-            tan.add_row(&row, *label);
-            discrete.push_back(row);
-        }
-        let two_dep = self.config.markov == MarkovKind::TwoDependent;
-        let mut fallback = vec![0.0; ATTRIBUTE_COUNT * n * n];
-        let mut combined = vec![
-            0.0;
-            if two_dep {
-                ATTRIBUTE_COUNT * n * n * n
-            } else {
-                0
-            }
-        ];
-        // The same flat addressing as the delta kernels: i walks
-        // 1..len, rows are ATTRIBUTE_COUNT wide, symbols < n.
-        for i in 1..discrete.len() {
-            for a in 0..ATTRIBUTE_COUNT {
-                // xtask-allow: index-in-loop -- i >= 1, rows ATTRIBUTE_COUNT wide
-                let prev1 = discrete[i - 1][a];
-                let next = discrete[i][a]; // xtask-allow: index-in-loop -- i < len
-                                           // xtask-allow: index-in-loop -- symbols < n from the discretizer
-                fallback[a * n * n + prev1 * n + next] += 1.0;
-                if two_dep && i >= 2 {
-                    // xtask-allow: index-in-loop -- i >= 2 checked on this branch
-                    let prev2 = discrete[i - 2][a];
-                    // xtask-allow: index-in-loop -- symbols < n from the discretizer
-                    combined[a * n * n * n + (prev2 * n + prev1) * n + next] += 1.0;
-                }
-            }
+            tan.add_row(&row, label);
+            count_transitions(&mut fallback, &mut combined, &tail, &row, n);
+            push_tail(&mut tail, row);
         }
         RebuiltSlot {
             slot,
             basis,
-            discrete,
+            tail,
             tan,
             combined,
             fallback,
@@ -539,13 +440,13 @@ impl FleetTrainer {
     /// the basis becomes the discretizer, the arena slices become Markov
     /// models, and the TAN statistics become the classifier — every
     /// count→probability derivation shared with the from-scratch path,
-    /// so the result is bit-identical to
-    /// [`FleetTrainer::train_reference`].
+    /// so the result is bit-identical to retraining on the slot's
+    /// labeled history.
     ///
     /// # Errors
     ///
     /// The same conditions as [`AnomalyPredictor::train`]: an empty
-    /// window or single-class labels.
+    /// history or single-class labels.
     ///
     /// # Panics
     ///
@@ -556,7 +457,8 @@ impl FleetTrainer {
             !self.dirty[slot],
             "deriving from a dirty slot; call refresh first"
         );
-        if self.windows[slot].is_empty() {
+        let observations = self.series[slot].len();
+        if observations == 0 {
             return Err(TrainError::EmptyDataset);
         }
         let classifier = self.tan[slot].classifier()?;
@@ -566,7 +468,6 @@ impl FleetTrainer {
         let n = self.config.bins;
         let n2 = n * n;
         let n3 = n2 * n;
-        let observations = self.windows[slot].len();
         let value_models: Vec<ValueModel> = (0..ATTRIBUTE_COUNT)
             .map(|a| {
                 let fb_off = (slot * ATTRIBUTE_COUNT + a) * n2;
@@ -594,88 +495,21 @@ impl FleetTrainer {
         ))
     }
 
-    /// Whether `slot` holds a cached derivation that is still valid (no
-    /// [`push`](FleetTrainer::push) or
-    /// [`retire_front`](FleetTrainer::retire_front) since it was
-    /// derived). Serving a valid cache entry skips the count→probability
-    /// derivation entirely.
-    pub fn is_cached(&self, slot: usize) -> bool {
-        self.cache
-            .get(slot)
-            .and_then(|c| c.as_ref())
-            .is_some_and(|(gen, _)| Some(gen) == self.generation.get(slot))
-    }
-
-    /// Batch [`derive`](FleetTrainer::derive) with generation-keyed
-    /// memoization: slots whose window is unchanged since their last
-    /// derivation are served from the cache (a clone of the stored
-    /// model, bit-identical to re-deriving); only stale slots re-derive,
+    /// [`derive`](FleetTrainer::derive) for every slot in `slots`,
     /// sharded over workers. Results come back in the order of `slots`
-    /// and are exactly what [`derive`](FleetTrainer::derive) returns for
-    /// each slot — error outcomes included.
-    ///
-    /// # Errors
-    ///
-    /// Per slot, the same conditions as [`FleetTrainer::derive`] (errors
-    /// are recomputed each call, never cached — they are cheap).
+    /// and are exactly what `derive` returns for each slot — error
+    /// outcomes included.
     ///
     /// # Panics
     ///
     /// Panics if any slot is dirty or out of range — call
     /// [`FleetTrainer::refresh`] first.
-    pub fn derive_cached_batch(
-        &mut self,
+    pub fn derive_batch(
+        &self,
         slots: &[usize],
         par: &prepare_par::ParConfig,
     ) -> Vec<Result<AnomalyPredictor, TrainError>> {
-        let mut stale: Vec<usize> = Vec::new();
-        for &slot in slots {
-            if !self.is_cached(slot) && !stale.contains(&slot) {
-                stale.push(slot);
-            }
-        }
-        let derived: Vec<Result<AnomalyPredictor, TrainError>> =
-            prepare_par::par_map(par, stale.clone(), |slot| self.derive(slot));
-        let mut fresh: std::collections::BTreeMap<usize, Result<AnomalyPredictor, TrainError>> =
-            std::collections::BTreeMap::new();
-        for (slot, result) in stale.into_iter().zip(derived) {
-            if let Some(entry) = self.cache.get_mut(slot) {
-                *entry = match (&result, self.generation.get(slot)) {
-                    (Ok(p), Some(&gen)) => Some((gen, p.clone())),
-                    _ => None,
-                };
-            }
-            fresh.insert(slot, result);
-        }
-        slots
-            .iter()
-            .map(|slot| {
-                if let Some(r) = fresh.get(slot) {
-                    r.clone()
-                } else if let Some(Some((_, p))) = self.cache.get(*slot) {
-                    Ok(p.clone())
-                } else {
-                    // Unreachable by construction: every requested slot
-                    // was either just derived or was a valid cache hit.
-                    Err(TrainError::EmptyDataset)
-                }
-            })
-            .collect()
-    }
-
-    /// The from-scratch referee: retrains `slot` by replaying its
-    /// retained window through the ordinary
-    /// [`AnomalyPredictor::train_labeled_par`] path (serially), ignoring
-    /// every maintained statistic. [`FleetTrainer::derive`] must equal
-    /// this bit-for-bit; the differential suite and the equivalence
-    /// proptests hold the two paths against each other.
-    ///
-    /// # Errors
-    ///
-    /// The same conditions as [`AnomalyPredictor::train`].
-    pub fn train_reference(&self, slot: usize) -> Result<AnomalyPredictor, TrainError> {
-        let rows: Vec<(MetricVector, Label)> = self.windows[slot].iter().copied().collect();
-        AnomalyPredictor::train_labeled_par(&rows, &self.config, &prepare_par::ParConfig::serial())
+        prepare_par::par_map(par, slots.to_vec(), |slot| self.derive(slot))
     }
 }
 
@@ -683,10 +517,33 @@ impl FleetTrainer {
 mod tests {
     use super::*;
     use crate::predictor::ramp_fixture;
-    use prepare_metrics::{SloLog, TimeSeries};
+    use prepare_metrics::{MetricVector, SloLog, Timestamp};
     use proptest::prelude::*;
 
-    fn labeled_stream(samples: usize, seed: u64) -> Vec<(MetricVector, Label)> {
+    impl FleetTrainer {
+        /// The from-scratch referee: retrains `slot` by replaying its
+        /// labeled history through the ordinary
+        /// [`AnomalyPredictor::train_labeled_par`] path (serially),
+        /// ignoring every maintained statistic.
+        fn train_reference(&self, slot: usize) -> Result<AnomalyPredictor, TrainError> {
+            let rows: Vec<(MetricVector, Label)> = self.series[slot]
+                .iter()
+                .map(|s| s.values)
+                .zip(self.labels[slot].iter().copied())
+                .collect();
+            AnomalyPredictor::train_labeled_par(
+                &rows,
+                &self.config,
+                &prepare_par::ParConfig::serial(),
+            )
+        }
+    }
+
+    fn at(i: usize) -> Timestamp {
+        Timestamp::from_secs(i as u64 * 5)
+    }
+
+    fn labeled_stream(samples: usize, seed: u64) -> Vec<(MetricSample, Label)> {
         // A deterministic mixed-scale stream: values grow occasionally so
         // both the delta fast path and the dirty/rebuild path are hit.
         (0..samples)
@@ -701,7 +558,7 @@ mod tests {
                     }
                 });
                 let label = Label::from_violation((k * 7 + seed).is_multiple_of(5));
-                (v, label)
+                (MetricSample::new(at(i), v), label)
             })
             .collect()
     }
@@ -733,8 +590,8 @@ mod tests {
                 ..PredictorConfig::default()
             };
             let mut trainer = FleetTrainer::new(1, &config);
-            for (v, label) in labeled_stream(120, 3) {
-                trainer.push(0, &v, label);
+            for (s, label) in labeled_stream(120, 3) {
+                trainer.push(0, &s, label);
             }
             trainer.refresh(&prepare_par::ParConfig::serial());
             assert_same_outcome(
@@ -753,38 +610,14 @@ mod tests {
         let config = PredictorConfig::default();
         let mut trainer = FleetTrainer::new(1, &config);
         for s in series.iter() {
-            trainer.push(
-                0,
-                &s.values,
-                Label::from_violation(slo.is_violated_at(s.time)),
-            );
+            trainer.push(0, s, Label::from_violation(slo.is_violated_at(s.time)));
         }
         trainer.refresh(&prepare_par::ParConfig::serial());
+        assert_eq!(trainer.series(0), &series);
         let derived = trainer.derive(0).unwrap();
         let trained = AnomalyPredictor::train(&series, &slo, &config).unwrap();
         assert_eq!(derived, trained);
         assert_eq!(format!("{derived:?}"), format!("{trained:?}"));
-    }
-
-    #[test]
-    fn sliding_window_equals_reference() {
-        let config = PredictorConfig::default();
-        let mut trainer = FleetTrainer::new(1, &config);
-        let stream = labeled_stream(200, 11);
-        for (i, (v, label)) in stream.iter().enumerate() {
-            trainer.push(0, v, *label);
-            if i >= 80 {
-                trainer.retire_front(0);
-            }
-            if i % 23 == 0 {
-                trainer.refresh(&prepare_par::ParConfig::serial());
-                assert_same_outcome(
-                    &trainer.derive(0),
-                    &trainer.train_reference(0),
-                    &format!("step {i}"),
-                );
-            }
-        }
     }
 
     #[test]
@@ -797,7 +630,8 @@ mod tests {
     #[test]
     fn single_sample_matches_reference_error() {
         let mut trainer = FleetTrainer::new(1, &PredictorConfig::default());
-        trainer.push(0, &MetricVector::zeros(), Label::Normal);
+        let first = MetricSample::new(Timestamp::ZERO, MetricVector::zeros());
+        trainer.push(0, &first, Label::Normal);
         trainer.refresh(&prepare_par::ParConfig::serial());
         assert_same_outcome(
             &trainer.derive(0),
@@ -808,97 +642,47 @@ mod tests {
     }
 
     #[test]
-    fn full_eviction_restores_the_empty_state() {
-        let config = PredictorConfig::default();
-        let fresh = FleetTrainer::new(1, &config);
-        let mut trainer = FleetTrainer::new(1, &config);
-        for (v, label) in labeled_stream(60, 5) {
-            trainer.push(0, &v, label);
-        }
-        while trainer.window_len(0) > 0 {
-            trainer.retire_front(0);
-        }
-        trainer.refresh(&prepare_par::ParConfig::serial());
-        assert_eq!(trainer.derive(0), Err(TrainError::EmptyDataset));
-        // The arenas are all-zero again, bit for bit.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&trainer.fallback), bits(&fresh.fallback));
-        assert_eq!(bits(&trainer.combined), bits(&fresh.combined));
-        assert_eq!(trainer.tan[0], fresh.tan[0]);
-    }
-
-    #[test]
-    fn retiring_an_interior_sample_restores_the_arenas_bit_for_bit() {
-        // T1 trains on [mid, lo, hi, tail…]; retiring `mid` (strictly
-        // inside (lo, hi), so the clean delta fast path) must leave
-        // exactly the arena bytes of T2, which never saw `mid` at all.
-        let config = PredictorConfig::default();
-        let mid = MetricVector::from_fn(|_| 250.0);
-        let lo = MetricVector::from_fn(|_| 0.0);
-        let hi = MetricVector::from_fn(|_| 500.0);
-        let tail: Vec<(MetricVector, Label)> = labeled_stream(50, 4)
-            .into_iter()
-            .map(|(v, l)| (MetricVector::from_fn(|a| v.get(a).clamp(1.0, 499.0)), l))
-            .collect();
-
-        let mut t1 = FleetTrainer::new(1, &config);
-        t1.push(0, &mid, Label::Normal);
-        t1.push(0, &lo, Label::Normal);
-        t1.push(0, &hi, Label::Abnormal);
-        for (v, l) in &tail {
-            t1.push(0, v, *l);
-        }
-        t1.refresh(&prepare_par::ParConfig::serial());
-        assert!(!t1.is_dirty(0));
-        t1.retire_front(0);
-        assert!(
-            !t1.is_dirty(0),
-            "interior retire must stay on the fast path"
-        );
-
-        let mut t2 = FleetTrainer::new(1, &config);
-        t2.push(0, &lo, Label::Normal);
-        t2.push(0, &hi, Label::Abnormal);
-        for (v, l) in &tail {
-            t2.push(0, v, *l);
-        }
-        t2.refresh(&prepare_par::ParConfig::serial());
-
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&t1.fallback), bits(&t2.fallback));
-        assert_eq!(bits(&t1.combined), bits(&t2.combined));
-        assert_eq!(t1.tan[0], t2.tan[0]);
-        assert_same_outcome(&t1.derive(0), &t2.derive(0), "post-retire");
-    }
-
-    #[test]
-    #[should_panic(expected = "retiring from an empty window")]
-    fn retire_from_empty_window_panics() {
-        let mut trainer = FleetTrainer::new(1, &PredictorConfig::default());
-        trainer.retire_front(0);
-    }
-
-    #[test]
     #[should_panic(expected = "dirty slot")]
     fn derive_on_dirty_slot_panics() {
         let mut trainer = FleetTrainer::new(1, &PredictorConfig::default());
-        trainer.push(0, &MetricVector::zeros(), Label::Normal);
+        let first = MetricSample::new(Timestamp::ZERO, MetricVector::zeros());
+        trainer.push(0, &first, Label::Normal);
         assert!(trainer.is_dirty(0), "first push always shifts the basis");
         let _ = trainer.derive(0);
+    }
+
+    #[test]
+    fn tail_keeps_only_the_last_two_discretized_rows() {
+        let mut trainer = FleetTrainer::new(1, &PredictorConfig::default());
+        let stream = labeled_stream(90, 4);
+        for (i, (s, label)) in stream.iter().enumerate() {
+            trainer.push(0, s, *label);
+            if i % 10 == 0 {
+                trainer.refresh(&prepare_par::ParConfig::serial());
+            }
+            assert!(trainer.tail[0].len() <= TAIL_ROWS);
+        }
+        trainer.refresh(&prepare_par::ParConfig::serial());
+        let basis = VectorDiscretizer::from_parts(trainer.basis[..ATTRIBUTE_COUNT].to_vec());
+        let want: Vec<DiscreteVector> = stream[stream.len() - TAIL_ROWS..]
+            .iter()
+            .map(|(s, _)| basis.discretize(&s.values))
+            .collect();
+        assert_eq!(trainer.tail[0], want);
     }
 
     #[test]
     fn slots_are_independent() {
         let config = PredictorConfig::default();
         let mut fleet = FleetTrainer::new(3, &config);
-        let streams: Vec<Vec<(MetricVector, Label)>> = (0..3)
+        let streams: Vec<Vec<(MetricSample, Label)>> = (0..3)
             .map(|s| labeled_stream(90, s as u64 * 7 + 1))
             .collect();
         // Interleave pushes across slots.
         for i in 0..90 {
             for (slot, stream) in streams.iter().enumerate() {
-                let (v, label) = &stream[i];
-                fleet.push(slot, v, *label);
+                let (s, label) = &stream[i];
+                fleet.push(slot, s, *label);
             }
         }
         for workers in [1usize, 2, 7] {
@@ -906,8 +690,8 @@ mod tests {
             clone.refresh(&prepare_par::ParConfig::with_workers(workers));
             for (slot, stream) in streams.iter().enumerate() {
                 let mut solo = FleetTrainer::new(1, &config);
-                for (v, label) in stream {
-                    solo.push(0, v, *label);
+                for (s, label) in stream {
+                    solo.push(0, s, *label);
                 }
                 solo.refresh(&prepare_par::ParConfig::serial());
                 assert_same_outcome(
@@ -920,39 +704,12 @@ mod tests {
     }
 
     #[test]
-    fn retire_that_shrinks_the_range_marks_dirty_and_rebuilds_exactly() {
-        let config = PredictorConfig::default();
-        let mut trainer = FleetTrainer::new(1, &config);
-        // The first sample is the global max; retiring it must shrink
-        // the range and force a rebuild.
-        let spike = MetricVector::from_fn(|_| 1000.0);
-        trainer.push(0, &spike, Label::Abnormal);
-        for (v, label) in labeled_stream(80, 2) {
-            trainer.push(0, &v, label);
-        }
-        trainer.refresh(&prepare_par::ParConfig::serial());
-        assert!(!trainer.is_dirty(0));
-        trainer.retire_front(0);
-        assert!(trainer.is_dirty(0), "range shrank: counts are stale");
-        trainer.refresh(&prepare_par::ParConfig::serial());
-        assert_same_outcome(
-            &trainer.derive(0),
-            &trainer.train_reference(0),
-            "post-shrink rebuild",
-        );
-    }
-
-    #[test]
     fn trainer_matches_train_par_for_all_worker_counts() {
         let (series, slo): (TimeSeries, SloLog) = ramp_fixture(300, 5, 40, 80.0);
         let config = PredictorConfig::default();
         let mut trainer = FleetTrainer::new(1, &config);
         for s in series.iter() {
-            trainer.push(
-                0,
-                &s.values,
-                Label::from_violation(slo.is_violated_at(s.time)),
-            );
+            trainer.push(0, s, Label::from_violation(slo.is_violated_at(s.time)));
         }
         trainer.refresh(&prepare_par::ParConfig::serial());
         let derived = trainer.derive(0).unwrap();
@@ -964,104 +721,66 @@ mod tests {
     }
 
     #[test]
-    fn cached_batch_is_bit_identical_to_eager_derive() {
+    fn derive_batch_is_worker_count_invariant() {
         let config = PredictorConfig::default();
-        let mut trainer = FleetTrainer::new(4, &config);
-        for slot in 0..4 {
-            for (v, label) in labeled_stream(100, slot as u64 * 5 + 1) {
-                trainer.push(slot, &v, label);
-            }
-        }
-        trainer.refresh(&prepare_par::ParConfig::serial());
-        let slots = [0usize, 1, 2, 3];
-        let batch = trainer.derive_cached_batch(&slots, &prepare_par::ParConfig::serial());
-        for (&slot, got) in slots.iter().zip(&batch) {
-            assert_same_outcome(got, &trainer.derive(slot), &format!("cold slot {slot}"));
-            assert!(trainer.is_cached(slot), "slot {slot} should be cached");
-        }
-
-        // Mutate only slots 1 and 3: the others must stay cached and the
-        // re-derived ones must match eager derivation again.
-        for (v, label) in labeled_stream(20, 99) {
-            trainer.push(1, &v, label);
-            trainer.push(3, &v, label);
-        }
-        assert!(trainer.is_cached(0) && trainer.is_cached(2));
-        assert!(!trainer.is_cached(1) && !trainer.is_cached(3));
-        trainer.refresh(&prepare_par::ParConfig::serial());
-        let batch = trainer.derive_cached_batch(&slots, &prepare_par::ParConfig::serial());
-        for (&slot, got) in slots.iter().zip(&batch) {
-            assert_same_outcome(got, &trainer.derive(slot), &format!("warm slot {slot}"));
-        }
-
-        // Retiring also invalidates.
-        trainer.retire_front(2);
-        assert!(!trainer.is_cached(2));
-    }
-
-    #[test]
-    fn cached_batch_is_worker_count_invariant() {
-        let config = PredictorConfig::default();
-        let mut base = FleetTrainer::new(5, &config);
+        let mut trainer = FleetTrainer::new(5, &config);
         for slot in 0..5 {
-            for (v, label) in labeled_stream(80, slot as u64 * 3 + 2) {
-                base.push(slot, &v, label);
+            for (s, label) in labeled_stream(80, slot as u64 * 3 + 2) {
+                trainer.push(slot, &s, label);
             }
         }
-        base.refresh(&prepare_par::ParConfig::serial());
+        trainer.refresh(&prepare_par::ParConfig::serial());
         let slots = [3usize, 0, 4, 1, 2];
-        let mut serial = base.clone();
-        let want = serial.derive_cached_batch(&slots, &prepare_par::ParConfig::serial());
-        for workers in [2usize, 7] {
-            let mut clone = base.clone();
-            let got =
-                clone.derive_cached_batch(&slots, &prepare_par::ParConfig::with_workers(workers));
-            for ((&slot, g), w) in slots.iter().zip(&got).zip(&want) {
-                assert_same_outcome(g, w, &format!("slot {slot} workers {workers}"));
+        for workers in [1usize, 2, 7] {
+            let got = trainer.derive_batch(&slots, &prepare_par::ParConfig::with_workers(workers));
+            for (&slot, g) in slots.iter().zip(&got) {
+                assert_same_outcome(
+                    g,
+                    &trainer.derive(slot),
+                    &format!("slot {slot} workers {workers}"),
+                );
             }
         }
     }
 
     #[test]
-    fn cached_batch_preserves_error_outcomes() {
+    fn derive_batch_preserves_error_outcomes() {
         let config = PredictorConfig::default();
         let mut trainer = FleetTrainer::new(2, &config);
-        for (v, label) in labeled_stream(60, 8) {
-            trainer.push(0, &v, label);
+        for (s, label) in labeled_stream(60, 8) {
+            trainer.push(0, &s, label);
         }
         trainer.refresh(&prepare_par::ParConfig::serial());
-        // Slot 1 is empty: the batch must report EmptyDataset for it and
-        // must not cache the error.
-        let batch = trainer.derive_cached_batch(&[0, 1], &prepare_par::ParConfig::serial());
+        // Slot 1 is empty: the batch must report EmptyDataset for it.
+        let batch = trainer.derive_batch(&[0, 1], &prepare_par::ParConfig::serial());
         assert!(batch[0].is_ok());
         assert_eq!(batch[1], Err(TrainError::EmptyDataset));
-        assert!(trainer.is_cached(0));
-        assert!(!trainer.is_cached(1));
         // Duplicate slots in one request are served consistently.
-        let dup = trainer.derive_cached_batch(&[0, 0, 1], &prepare_par::ParConfig::serial());
+        let dup = trainer.derive_batch(&[0, 0, 1], &prepare_par::ParConfig::serial());
         assert_same_outcome(&dup[0], &dup[1], "duplicate request");
         assert_eq!(dup[2], Err(TrainError::EmptyDataset));
     }
 
     /// A restored trainer is observationally identical: it derives the
-    /// same models, and continuing the stream (pushes, retirements,
-    /// refreshes) on both copies keeps them in lockstep — the crash
-    /// recovery contract for the training plane.
+    /// same models, and continuing the stream (pushes and refreshes) on
+    /// both copies keeps them in lockstep — the crash recovery contract
+    /// for the training plane.
     #[test]
     fn persist_round_trip_continues_training_bit_identically() {
         let config = PredictorConfig::default();
         let mut trainer = FleetTrainer::new(3, &config);
-        let streams: Vec<Vec<(MetricVector, Label)>> = (0..3)
+        let streams: Vec<Vec<(MetricSample, Label)>> = (0..3)
             .map(|s| labeled_stream(120, s as u64 * 7 + 1))
             .collect();
         for (slot, stream) in streams.iter().enumerate() {
-            for (v, label) in &stream[..90] {
-                trainer.push(slot, v, *label);
+            for (s, label) in &stream[..90] {
+                trainer.push(slot, s, *label);
             }
         }
         // Leave slot 2 dirty on purpose: dirtiness must survive restore.
         trainer.refresh(&prepare_par::ParConfig::serial());
-        trainer.push(2, &MetricVector::from_fn(|_| 9999.0), Label::Abnormal);
+        let spike = MetricSample::new(at(90), MetricVector::from_fn(|_| 9999.0));
+        trainer.push(2, &spike, Label::Abnormal);
         assert!(trainer.is_dirty(2));
 
         let bytes = prepare_metrics::persist::to_bytes(&trainer);
@@ -1070,12 +789,10 @@ mod tests {
         assert_same_outcome(&restored.derive(0), &trainer.derive(0), "restored slot 0");
 
         for (slot, stream) in streams.iter().enumerate() {
-            for (v, label) in &stream[90..] {
-                trainer.push(slot, v, *label);
-                restored.push(slot, v, *label);
+            for (s, label) in &stream[90..] {
+                trainer.push(slot, s, *label);
+                restored.push(slot, s, *label);
             }
-            trainer.retire_front(slot);
-            restored.retire_front(slot);
         }
         trainer.refresh(&prepare_par::ParConfig::serial());
         restored.refresh(&prepare_par::ParConfig::serial());
@@ -1091,8 +808,8 @@ mod tests {
     #[test]
     fn persist_load_rejects_slot_arity_mismatch() {
         let mut trainer = FleetTrainer::new(2, &PredictorConfig::default());
-        for (v, label) in labeled_stream(40, 6) {
-            trainer.push(0, &v, label);
+        for (s, label) in labeled_stream(40, 6) {
+            trainer.push(0, &s, label);
         }
         let mut bytes = prepare_metrics::persist::to_bytes(&trainer);
         // The slot count sits right after the config (bins u64 + secs u64
@@ -1102,11 +819,51 @@ mod tests {
         assert!(prepare_metrics::persist::from_bytes::<FleetTrainer>(&bytes).is_err());
     }
 
+    /// Every layout inconsistency a corrupt checkpoint can carry is a
+    /// typed load error — each one would otherwise index out of bounds
+    /// or desynchronize the counts on a later push.
+    #[test]
+    fn persist_load_rejects_inconsistent_layouts() {
+        let mut trainer = FleetTrainer::new(2, &PredictorConfig::default());
+        for slot in 0..2 {
+            for (s, label) in labeled_stream(40, slot as u64 + 6) {
+                trainer.push(slot, &s, label);
+            }
+        }
+        trainer.refresh(&prepare_par::ParConfig::serial());
+        let rejects = |bad: FleetTrainer, want: &'static str| {
+            let bytes = prepare_metrics::persist::to_bytes(&bad);
+            assert_eq!(
+                prepare_metrics::persist::from_bytes::<FleetTrainer>(&bytes).unwrap_err(),
+                PersistError::Invalid(want)
+            );
+        };
+        let n = trainer.config.bins;
+        let mut bad = trainer.clone();
+        bad.labels[1].pop();
+        rejects(bad, "FleetTrainer series/label length");
+        let mut bad = trainer.clone();
+        bad.tail[0][1].pop();
+        rejects(bad, "FleetTrainer tail row width");
+        let mut bad = trainer.clone();
+        bad.tail[1][0][3] = n;
+        rejects(bad, "FleetTrainer tail row width");
+        let mut bad = trainer.clone();
+        bad.tail[0].pop();
+        rejects(bad, "FleetTrainer clean-slot tail sync");
+        let mut bad = trainer.clone();
+        bad.basis[5] = Discretizer::fit_span(None, n + 1);
+        rejects(bad, "FleetTrainer bin count");
+        let mut bad = trainer.clone();
+        bad.tan[1] = TanStats::with_uniform_bins(ATTRIBUTE_COUNT, n + 1);
+        rejects(bad, "FleetTrainer bin count");
+    }
+
     proptest! {
-        // Random labeled streams with occasional spikes: after an
-        // arbitrary interleaving of pushes and front-retirements, the
-        // incremental derivation equals the from-scratch rebuild
-        // exactly — including which error it returns.
+        // Random labeled push-only streams with occasional spikes and
+        // refreshes at arbitrary points: the incremental derivation
+        // equals the from-scratch rebuild exactly — including which
+        // error it returns.
         #[test]
         fn derive_always_equals_reference(input in arb_ops()) {
             let (kind, ops) = input;
@@ -1115,17 +872,13 @@ mod tests {
                 ..PredictorConfig::default()
             };
             let mut trainer = FleetTrainer::new(1, &config);
-            for op in &ops {
+            for (i, op) in ops.iter().enumerate() {
                 match op {
                     Op::Push(v, label) => {
                         let vector = MetricVector::from_fn(|a| v[a.index() % v.len()]);
-                        trainer.push(0, &vector, *label);
+                        trainer.push(0, &MetricSample::new(at(i), vector), *label);
                     }
-                    Op::Retire => {
-                        if trainer.window_len(0) > 0 {
-                            trainer.retire_front(0);
-                        }
-                    }
+                    Op::Refresh => trainer.refresh(&prepare_par::ParConfig::serial()),
                 }
             }
             trainer.refresh(&prepare_par::ParConfig::serial());
@@ -1145,14 +898,14 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op {
         Push(Vec<f64>, Label),
-        Retire,
+        Refresh,
     }
 
     fn arb_ops() -> impl Strategy<Value = (MarkovKind, Vec<Op>)> {
         let value = proptest::collection::vec(0usize..200, 3);
-        let op = (value, any::<bool>(), 0usize..4).prop_map(|(vals, abnormal, retire)| {
-            if retire == 0 {
-                Op::Retire
+        let op = (value, any::<bool>(), 0usize..4).prop_map(|(vals, abnormal, refresh)| {
+            if refresh == 0 {
+                Op::Refresh
             } else {
                 let label = Label::from_violation(abnormal);
                 Op::Push(vals.into_iter().map(|x| x as f64 * 1.5).collect(), label)

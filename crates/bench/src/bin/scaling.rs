@@ -184,11 +184,7 @@ fn main() {
         let mut trainer = FleetTrainer::new(n_vms, &config);
         for (slot, series) in traces.iter().enumerate() {
             for s in series.iter() {
-                trainer.push(
-                    slot,
-                    &s.values,
-                    Label::from_violation(slo.is_violated_at(s.time)),
-                );
+                trainer.push(slot, s, Label::from_violation(slo.is_violated_at(s.time)));
             }
         }
         trainer.refresh(&ParConfig::serial());

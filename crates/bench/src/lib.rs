@@ -2,8 +2,8 @@
 //! PREPARE paper (§III).
 //!
 //! Each `fig*` binary in `src/bin/` prints the rows/series behind one
-//! figure; `table1` reports the overhead measurements; the Criterion
-//! benches in `benches/` measure the algorithmic costs natively.
+//! figure; `table1` measures the algorithmic module costs natively and
+//! reports them beside the paper's actuation latencies.
 //!
 //! ```text
 //! cargo run --release -p prepare-bench --bin fig6     # SLO violation, scaling
@@ -15,7 +15,6 @@
 //! cargo run --release -p prepare-bench --bin fig12    # k-of-W filter settings
 //! cargo run --release -p prepare-bench --bin fig13    # sampling interval sweep
 //! cargo run --release -p prepare-bench --bin table1   # module overhead summary
-//! cargo bench -p prepare-bench                        # Criterion micro-benchmarks
 //! ```
 
 #![forbid(unsafe_code)]

@@ -15,7 +15,7 @@
 //!    migrating, and no chaos fault window is in (or near) effect.
 //!    Skipping a provable identity cannot change anything — which is the
 //!    whole determinism argument, checked end-to-end by running the dense
-//!    referee (`PREPARE_DENSE_TICK=1`) and comparing [`FleetTrace`]s.
+//!    referee ([`TickMode::Dense`]) and comparing [`FleetTrace`]s.
 //! 2. **A wakeup wheel.** Sleeping VMs are keyed on the simulated tick of
 //!    their next workload epoch boundary (`BTreeMap<tick, BTreeSet<slot>>`).
 //!    Host-level events — a co-resident scaling its allocation, a
@@ -42,9 +42,6 @@ use prepare_metrics::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Environment variable selecting the dense referee tick path.
-pub const DENSE_ENV: &str = "PREPARE_DENSE_TICK";
-
 /// Length of the Load5 smoothing ring, in sampling rounds.
 const LOAD5_WINDOW: usize = 5;
 
@@ -55,17 +52,6 @@ pub enum TickMode {
     Sparse,
     /// Step every VM every tick — the byte-identity referee.
     Dense,
-}
-
-impl TickMode {
-    /// Resolves the mode from [`DENSE_ENV`] (`"1"` → dense).
-    pub fn from_env() -> TickMode {
-        if std::env::var(DENSE_ENV).as_deref() == Ok("1") {
-            TickMode::Dense
-        } else {
-            TickMode::Sparse
-        }
-    }
 }
 
 /// Configuration of a synthetic fleet run.
@@ -1028,12 +1014,6 @@ mod tests {
             let newest = sim.store().latest(slot).expect("sampled");
             assert_eq!(newest.time.as_secs(), 195);
         }
-    }
-
-    #[test]
-    fn mode_from_env_reads_dense_flag() {
-        // Not set in the test environment → sparse default.
-        assert_eq!(TickMode::from_env(), TickMode::Sparse);
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl Persist for ClusterReply {
 /// the live cluster, which already absorbed those actuations, is never
 /// contacted again.
 #[derive(Debug)]
-pub enum ClusterIo<'a> {
+pub(crate) enum ClusterIo<'a> {
     /// Drive the real cluster, logging each reply for the journal.
     Live {
         /// The cluster being actuated.
@@ -176,7 +176,7 @@ pub enum ClusterIo<'a> {
 
 impl<'a> ClusterIo<'a> {
     /// A live window that records every reply.
-    pub fn live(cluster: &'a mut Cluster) -> Self {
+    pub(crate) fn live(cluster: &'a mut Cluster) -> Self {
         ClusterIo::Live {
             cluster,
             log: Vec::new(),
@@ -184,12 +184,12 @@ impl<'a> ClusterIo<'a> {
     }
 
     /// A replay window over a journaled reply stream.
-    pub fn replay(replies: &'a [ClusterReply]) -> Self {
+    pub(crate) fn replay(replies: &'a [ClusterReply]) -> Self {
         ClusterIo::Replay { replies, pos: 0 }
     }
 
     /// The recorded replies of a live round (empty for replay).
-    pub fn into_log(self) -> Vec<ClusterReply> {
+    pub(crate) fn into_log(self) -> Vec<ClusterReply> {
         match self {
             ClusterIo::Live { log, .. } => log,
             ClusterIo::Replay { .. } => Vec::new(),
@@ -218,7 +218,7 @@ impl<'a> ClusterIo<'a> {
     /// # Panics
     ///
     /// Panics on a replay window with unconsumed replies.
-    pub fn assert_drained(&self) {
+    pub(crate) fn assert_drained(&self) {
         if let ClusterIo::Replay { replies, pos } = self {
             assert!(
                 *pos == replies.len(),
@@ -296,8 +296,8 @@ impl<'a> ClusterIo<'a> {
 
 /// The PREPARE controller for one distributed application.
 ///
-/// Feed it one batch of per-VM samples per sampling interval via
-/// [`PrepareController::on_sample`]; it maintains per-VM anomaly
+/// Feed it one batch of per-VM readings per sampling interval via
+/// [`PrepareController::on_readings`]; it maintains per-VM anomaly
 /// predictors (trained automatically once the first anomaly has been seen
 /// and has passed — the paper's recurrent-anomaly regime), confirms
 /// alerts through k-of-W filtering, diagnoses faulty VMs and blamed
@@ -311,7 +311,11 @@ pub struct PrepareController {
     config: PrepareConfig,
     scheme: Scheme,
     vms: Vec<VmId>,
-    series: BTreeMap<VmId, TimeSeries>,
+    /// `vms` position of each managed VM (its first, for a repeated id):
+    /// the trainer slot holding that VM's history. Iterating it visits
+    /// the VMs in id order.
+    // xtask: ephemeral -- pure function of `vms`, rebuilt on restore
+    slot_of: BTreeMap<VmId, usize>,
     slo: SloLog,
     predictors: BTreeMap<VmId, AnomalyPredictor>,
     filters: BTreeMap<VmId, AlertFilter>,
@@ -343,13 +347,23 @@ pub struct PrepareController {
     trained_at: Option<Timestamp>,
     last_retrain: Option<Timestamp>,
     last_workload_change: bool,
-    /// The incremental training state (`config.online_training`): every
-    /// usable sample is folded into per-VM count arenas at ingest, and
-    /// training rounds *derive* models from the maintained statistics
-    /// instead of rescanning each VM's series. Slot `i` holds `vms[i]`.
-    /// `None` runs the from-scratch reference path on every round.
-    trainer: Option<FleetTrainer>,
+    /// The only copy of each VM's labeled sample history (slot `i`
+    /// holds `vms[i]`). Every usable sample is also folded into per-VM
+    /// count arenas at ingest, so with `config.online_training` training
+    /// rounds *derive* models from the maintained statistics instead of
+    /// rescanning each VM's series; without it every training round
+    /// retrains from the trainer's series (the from-scratch referee).
+    trainer: FleetTrainer,
     events: Vec<ControllerEvent>,
+}
+
+/// Maps each VM to its first position in `vms` — its trainer slot.
+fn slot_index(vms: &[VmId]) -> BTreeMap<VmId, usize> {
+    let mut index = BTreeMap::new();
+    for (slot, &vm) in vms.iter().enumerate() {
+        index.entry(vm).or_insert(slot);
+    }
+    index
 }
 
 /// Minimum spacing between two migrations of the same VM (seconds).
@@ -399,20 +413,17 @@ impl PrepareController {
             .iter()
             .map(|&vm| (vm, AlertFilter::new(config.filter_k, config.filter_w)))
             .collect();
-        let series = vms.iter().map(|&vm| (vm, TimeSeries::new())).collect();
         let imputers = vms
             .iter()
             .map(|&vm| (vm, LastValueImputer::new()))
             .collect();
         let violation_filter = AlertFilter::new(config.filter_k, config.filter_w);
-        let trainer = config
-            .online_training
-            .then(|| FleetTrainer::new(vms.len(), &config.predictor));
+        let trainer = FleetTrainer::new(vms.len(), &config.predictor);
         PrepareController {
             config,
             scheme,
+            slot_of: slot_index(&vms),
             vms,
-            series,
             slo: SloLog::new(),
             predictors: BTreeMap::new(),
             filters,
@@ -454,7 +465,15 @@ impl PrepareController {
 
     /// The accumulated metric series of one VM.
     pub fn series(&self, vm: VmId) -> Option<&TimeSeries> {
-        self.series.get(&vm)
+        self.slot_of.get(&vm).map(|&slot| self.trainer.series(slot))
+    }
+
+    /// Every managed VM's series, in VM-id order.
+    fn series_by_id(&self) -> Vec<(VmId, &TimeSeries)> {
+        self.slot_of
+            .iter()
+            .map(|(&vm, &slot)| (vm, self.trainer.series(slot)))
+            .collect()
     }
 
     /// The trained predictor of one VM, if training has happened.
@@ -471,31 +490,6 @@ impl PrepareController {
     /// VMs currently past their staleness budget, in id order.
     pub fn degraded_vms(&self) -> Vec<VmId> {
         self.degraded.iter().copied().collect()
-    }
-
-    /// Ingests one sampling round: a sample per VM plus the application's
-    /// current SLO status. May actuate prevention actions on `cluster`.
-    /// Returns the events generated this round.
-    ///
-    /// Every sample is treated as freshly collected at its own timestamp;
-    /// use [`PrepareController::on_readings`] when the monitoring plane
-    /// can drop, delay, or freeze readings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sample belongs to a VM this controller does not manage.
-    pub fn on_sample(
-        &mut self,
-        now: Timestamp,
-        samples: &[(VmId, MetricSample)],
-        slo_violated: bool,
-        cluster: &mut Cluster,
-    ) -> Vec<ControllerEvent> {
-        let readings: Vec<(VmId, StampedSample)> = samples
-            .iter()
-            .map(|&(vm, sample)| (vm, StampedSample::fresh(sample)))
-            .collect();
-        self.on_readings(now, &readings, slo_violated, cluster)
     }
 
     /// Ingests one sampling round of stamped readings — the
@@ -516,8 +510,8 @@ impl PrepareController {
     ///    [`ControllerEvent::MonitoringDegraded`] /
     ///    [`ControllerEvent::MonitoringRecovered`] on the transitions.
     ///
-    /// With every reading fresh (the benign-infrastructure case) this is
-    /// byte-identical to [`PrepareController::on_sample`].
+    /// With every reading fresh ([`StampedSample::fresh`], the
+    /// benign-infrastructure case) nothing is imputed or degraded.
     ///
     /// # Panics
     ///
@@ -534,53 +528,16 @@ impl PrepareController {
         self.round(now, readings, slo_violated, &mut io)
     }
 
-    /// [`PrepareController::on_readings`], additionally returning every
-    /// cluster reply the round consumed — the payload the write-ahead
-    /// journal records so the round can later be replayed without a
-    /// cluster.
+    /// The one control round behind [`PrepareController::on_readings`]
+    /// and the recovery manager: `io` is the live cluster (recording
+    /// every reply for the journal) or a journaled reply stream being
+    /// replayed after a crash.
     ///
     /// # Panics
     ///
     /// Panics if a reading belongs to a VM this controller does not
     /// manage.
-    pub fn on_readings_recorded(
-        &mut self,
-        now: Timestamp,
-        readings: &[(VmId, StampedSample)],
-        slo_violated: bool,
-        cluster: &mut Cluster,
-    ) -> (Vec<ControllerEvent>, Vec<ClusterReply>) {
-        let mut io = ClusterIo::live(cluster);
-        let events = self.round(now, readings, slo_violated, &mut io);
-        (events, io.into_log())
-    }
-
-    /// Re-drives one journaled round during crash recovery. The round's
-    /// cluster touches consume `replies` (recorded by
-    /// [`PrepareController::on_readings_recorded`] before the crash)
-    /// instead of contacting the live cluster, so an actuation the
-    /// cluster already absorbed is never issued twice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reading belongs to an unmanaged VM, or if the replayed
-    /// round diverges from the recorded reply stream — that means the
-    /// restored controller state does not match the state that produced
-    /// the journal, which recovery must not paper over.
-    pub fn on_readings_replay(
-        &mut self,
-        now: Timestamp,
-        readings: &[(VmId, StampedSample)],
-        slo_violated: bool,
-        replies: &[ClusterReply],
-    ) -> Vec<ControllerEvent> {
-        let mut io = ClusterIo::replay(replies);
-        let events = self.round(now, readings, slo_violated, &mut io);
-        io.assert_drained();
-        events
-    }
-
-    fn round(
+    pub(crate) fn round(
         &mut self,
         now: Timestamp,
         readings: &[(VmId, StampedSample)],
@@ -594,7 +551,10 @@ impl PrepareController {
         let mut arrived: BTreeSet<VmId> = BTreeSet::new();
         let mut covered: BTreeSet<VmId> = BTreeSet::new();
         for (vm, stamped) in readings {
-            assert!(self.series.contains_key(vm), "sample for unmanaged VM {vm}");
+            assert!(
+                self.slot_of.contains_key(vm),
+                "sample for unmanaged VM {vm}"
+            );
             arrived.insert(*vm);
             if let Some(imputer) = self.imputers.get_mut(vm) {
                 imputer.observe(stamped);
@@ -645,24 +605,16 @@ impl PrepareController {
             }
         }
 
-        for (vm, sample) in &usable {
-            if let Some(series) = self.series.get_mut(vm) {
-                series.push(*sample);
-            }
-        }
         self.slo.record(now, slo_violated);
-        if let Some(trainer) = self.trainer.as_mut() {
-            // Fold the round's evidence into the online count arenas.
-            // Every usable sample is stamped `now` (late deliveries are
-            // re-timed, imputed replays are re-stamped) and the SLO log
-            // is append-only over strictly increasing rounds, so the
-            // ingest-time label equals the label a from-scratch rebuild
-            // would derive from the log later.
-            let label = Label::from_violation(slo_violated);
-            for (vm, sample) in &usable {
-                if let Some(slot) = self.vms.iter().position(|v| v == vm) {
-                    trainer.push(slot, &sample.values, label);
-                }
+        // Append the round's evidence to each VM's history. Every usable
+        // sample is stamped `now` (late deliveries are re-timed, imputed
+        // replays are re-stamped) and the SLO log is append-only over
+        // strictly increasing rounds, so the ingest-time label equals
+        // the label a from-scratch rebuild would derive from the log.
+        let label = Label::from_violation(slo_violated);
+        for (vm, sample) in &usable {
+            if let Some(&slot) = self.slot_of.get(vm) {
+                self.trainer.push(slot, sample, label);
             }
         }
         self.inference.observe(&usable);
@@ -704,47 +656,43 @@ impl PrepareController {
     }
 
     /// Fits one predictor per implicated VM, one shard of VMs per worker.
-    /// Training reads only the VM's own series plus the shared SLO log,
+    /// Training reads only the VM's own history plus the shared SLO log,
     /// so the fitted models are bit-identical to the sequential loop for
-    /// any worker count; VMs whose fit fails come back as `None`.
+    /// any worker count; VMs whose fit fails are left out.
     ///
     /// With online training the models are *derived* from the fleet
     /// trainer's maintained count arenas instead of re-scanning each
-    /// series — [`FleetTrainer::derive_cached_batch`] is bit-identical
-    /// to the from-scratch `train` call the reference arm makes, so the
-    /// two arms produce the same traces (the CI harness diffs them).
-    /// The batch call memoizes per-slot derivations on a window
-    /// generation counter, so only VMs whose windows changed since the
-    /// last round actually re-derive.
-    fn train_implicated(&mut self, implicated: &[VmId]) -> Vec<Option<(VmId, AnomalyPredictor)>> {
-        if let Some(trainer) = self.trainer.as_mut() {
-            trainer.refresh(&self.config.par);
-            let slots: Vec<Option<usize>> = implicated
-                .iter()
-                .map(|vm| self.vms.iter().position(|v| v == vm))
-                .collect();
-            let wanted: Vec<usize> = slots.iter().filter_map(|s| *s).collect();
-            let derived = trainer.derive_cached_batch(&wanted, &self.config.par);
-            let by_slot: BTreeMap<usize, AnomalyPredictor> = wanted
+    /// series — [`FleetTrainer::derive_batch`] is bit-identical to the
+    /// from-scratch `train` call the reference arm makes, so the two
+    /// arms produce the same traces (the CI harness diffs them).
+    fn train_implicated(&mut self, implicated: &[VmId]) -> Vec<(VmId, AnomalyPredictor)> {
+        let wanted: Vec<(VmId, usize)> = implicated
+            .iter()
+            .filter_map(|vm| self.slot_of.get(vm).map(|&slot| (*vm, slot)))
+            .collect();
+        let fitted: Vec<Option<AnomalyPredictor>> = if self.config.online_training {
+            self.trainer.refresh(&self.config.par);
+            let slots: Vec<usize> = wanted.iter().map(|&(_, slot)| slot).collect();
+            self.trainer
+                .derive_batch(&slots, &self.config.par)
                 .into_iter()
-                .zip(derived)
-                .filter_map(|(slot, r)| r.ok().map(|p| (slot, p)))
-                .collect();
-            return implicated
-                .iter()
-                .zip(slots)
-                .map(|(vm, slot)| {
-                    let slot = slot?;
-                    by_slot.get(&slot).map(|p| (*vm, p.clone()))
-                })
-                .collect();
-        }
-        prepare_par::par_map(&self.config.par, implicated.to_vec(), |vm| {
-            let series = self.series.get(&vm)?;
-            AnomalyPredictor::train(series, &self.slo, &self.config.predictor)
+                .map(Result::ok)
+                .collect()
+        } else {
+            prepare_par::par_map(&self.config.par, wanted.clone(), |(_, slot)| {
+                AnomalyPredictor::train(
+                    self.trainer.series(slot),
+                    &self.slo,
+                    &self.config.predictor,
+                )
                 .ok()
-                .map(|p| (vm, p))
-        })
+            })
+        };
+        wanted
+            .into_iter()
+            .zip(fitted)
+            .filter_map(|((vm, _), p)| p.map(|p| (vm, p)))
+            .collect()
     }
 
     /// Trains per-VM models once the first (completed) anomaly has been
@@ -758,11 +706,10 @@ impl PrepareController {
         if self.is_trained() {
             return;
         }
-        let enough = self
-            .series
-            .values()
-            .next()
-            .is_some_and(|s| s.len() >= self.config.min_training_samples);
+        // The sample count of the lowest-id VM gates training.
+        let enough = self.slot_of.values().next().is_some_and(|&slot| {
+            self.trainer.series(slot).len() >= self.config.min_training_samples
+        });
         let anomaly_seen = self.slo.first_violation().is_some();
         let anomaly_over = !self.slo.is_violated_at(now);
         // Train only after the SLO has been quiet for a while, so the
@@ -775,12 +722,10 @@ impl PrepareController {
         if !(enough && anomaly_seen && anomaly_over && quiet_long_enough) {
             return;
         }
-        let implicated = crate::implicated_vms_par(&self.series, &self.slo, &self.config.par);
-        let trained: BTreeMap<VmId, AnomalyPredictor> = self
-            .train_implicated(&implicated)
-            .into_iter()
-            .flatten()
-            .collect();
+        let implicated =
+            crate::implicated_vms_par(&self.series_by_id(), &self.slo, &self.config.par);
+        let trained: BTreeMap<VmId, AnomalyPredictor> =
+            self.train_implicated(&implicated).into_iter().collect();
         if trained.is_empty() {
             return; // try again next round with more data
         }
@@ -809,9 +754,10 @@ impl PrepareController {
             return;
         }
         self.last_retrain = Some(now);
-        let implicated = crate::implicated_vms_par(&self.series, &self.slo, &self.config.par);
+        let implicated =
+            crate::implicated_vms_par(&self.series_by_id(), &self.slo, &self.config.par);
         let mut refreshed = Vec::new();
-        for (vm, p) in self.train_implicated(&implicated).into_iter().flatten() {
+        for (vm, p) in self.train_implicated(&implicated) {
             self.predictors.insert(vm, p);
             refreshed.push(vm);
         }
@@ -1196,7 +1142,7 @@ impl PrepareController {
                     // Episodes only open on VMs that have delivered
                     // readings, so a series always exists; a missing one
                     // just reads as "no usage change yet".
-                    let series = self.series.get(&vm);
+                    let series = self.series(vm);
                     debug_assert!(series.is_some(), "episode open for {vm:?} without a series");
                     series.is_some_and(|series| usage_changed(series, attr, acted, window))
                 }
@@ -1257,7 +1203,6 @@ impl PrepareController {
         self.config.store_state(w);
         self.scheme.store(w);
         self.vms.store(w);
-        self.series.store(w);
         self.slo.store(w);
         self.predictors.store(w);
         self.filters.store(w);
@@ -1300,7 +1245,6 @@ impl PrepareController {
         if vms.is_empty() {
             return Err(PersistError::Invalid("PrepareController vms"));
         }
-        let series = BTreeMap::load(r)?;
         let slo = SloLog::load(r)?;
         let predictors = BTreeMap::load(r)?;
         let filters = BTreeMap::load(r)?;
@@ -1314,15 +1258,18 @@ impl PrepareController {
         let trained_at = Option::load(r)?;
         let last_retrain = Option::load(r)?;
         let last_workload_change = bool::load(r)?;
-        let trainer = Option::load(r)?;
+        let trainer = FleetTrainer::load(r)?;
+        if trainer.slots() != vms.len() {
+            return Err(PersistError::Invalid("PrepareController trainer slots"));
+        }
         let events = Vec::load(r)?;
         let planner = PreventionPlanner::new(config.policy, config.scale_factor)
             .with_migration_target_policy(config.migration_policy);
         Ok(PrepareController {
             config,
             scheme,
+            slot_of: slot_index(&vms),
             vms,
-            series,
             slo,
             predictors,
             filters,
@@ -1416,11 +1363,11 @@ mod tests {
                 _ => 500.0,
             };
             let violated = free < 50.0;
-            let samples = vec![
-                (VmId(0), sample_for(t, 40.0, free)),
-                (VmId(1), sample_for(t, 30.0, 400.0)),
+            let readings = vec![
+                (VmId(0), StampedSample::fresh(sample_for(t, 40.0, free))),
+                (VmId(1), StampedSample::fresh(sample_for(t, 30.0, 400.0))),
             ];
-            controller.on_sample(Timestamp::from_secs(t), &samples, violated, cluster);
+            controller.on_readings(Timestamp::from_secs(t), &readings, violated, cluster);
         }
     }
 
@@ -1923,41 +1870,6 @@ mod tests {
         assert_eq!(recovered_events, 1);
     }
 
-    /// `on_readings` with every reading fresh is byte-identical to the
-    /// legacy `on_sample` path.
-    #[test]
-    fn fresh_readings_match_on_sample_exactly() {
-        let mut c1 = test_cluster();
-        let mut c2 = test_cluster();
-        let mut a = mk_controller(Scheme::Prepare);
-        let mut b = mk_controller(Scheme::Prepare);
-        for i in 0..200u64 {
-            let t = i * 5;
-            let phase = i % 120;
-            let free = match phase {
-                0..=39 => 500.0,
-                40..=89 => 500.0 - (phase - 39) as f64 * 10.0,
-                90..=109 => 0.0,
-                _ => 500.0,
-            };
-            let violated = free < 50.0;
-            let samples = vec![
-                (VmId(0), sample_for(t, 40.0, free)),
-                (VmId(1), sample_for(t, 30.0, 400.0)),
-            ];
-            let readings: Vec<(VmId, StampedSample)> = samples
-                .iter()
-                .map(|&(vm, s)| (vm, StampedSample::fresh(s)))
-                .collect();
-            let now = Timestamp::from_secs(t);
-            let ea = a.on_sample(now, &samples, violated, &mut c1);
-            let eb = b.on_readings(now, &readings, violated, &mut c2);
-            assert_eq!(ea, eb, "round {i}");
-        }
-        assert_eq!(a.events, b.events);
-        assert_eq!(c1, c2);
-    }
-
     /// The tentpole equivalence at unit scale: checkpoint a mid-scenario
     /// controller, restore it, and both copies must evolve byte-
     /// identically (events, cluster effects, and core-state fingerprint)
@@ -2008,8 +1920,12 @@ mod tests {
                 (VmId(1), StampedSample::fresh(sample_for(t, 30.0, 400.0))),
             ];
             let now = Timestamp::from_secs(t);
-            let (ev_live, replies) = live.on_readings_recorded(now, &readings, violated, &mut c);
-            let ev_ghost = ghost.on_readings_replay(now, &readings, violated, &replies);
+            let mut io = ClusterIo::live(&mut c);
+            let ev_live = live.round(now, &readings, violated, &mut io);
+            let replies = io.into_log();
+            let mut replay = ClusterIo::replay(&replies);
+            let ev_ghost = ghost.round(now, &readings, violated, &mut replay);
+            replay.assert_drained();
             assert_eq!(ev_live, ev_ghost, "round {i}");
         }
         assert!(live.is_trained(), "scenario must exercise the full loop");
@@ -2044,6 +1960,34 @@ mod tests {
         assert_eq!(back, round);
     }
 
+    /// Every strict prefix of a trained controller's state bytes is a
+    /// typed load error, never a panic or a silently short controller.
+    /// The bytes go straight to `load_state`, so no frame checksum
+    /// catches the cut first.
+    #[test]
+    fn truncated_state_bytes_always_fail_to_load() {
+        let mut c = test_cluster();
+        let mut config = PrepareConfig::default();
+        config.predictor.bins = 3;
+        let mut ctl = PrepareController::new(vec![VmId(1), VmId(0)], config, Scheme::Prepare);
+        drive(&mut ctl, &mut c, 0..160);
+        assert!(ctl.is_trained(), "the sweep must cover trained models");
+        let mut w = Writer::new();
+        ctl.store_state(&mut w);
+        let bytes = w.into_bytes();
+        for cut in 0..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut]);
+            assert!(
+                PrepareController::load_state(&mut r, ParConfig::serial()).is_err(),
+                "a {cut}-byte prefix of {} loaded",
+                bytes.len()
+            );
+        }
+        let mut r = Reader::new(&bytes);
+        let back = PrepareController::load_state(&mut r, ParConfig::serial()).expect("intact");
+        assert_eq!(back.model_fingerprint(), ctl.model_fingerprint());
+    }
+
     #[test]
     fn scheme_round_trips_and_rejects_unknown_tags() {
         for s in [Scheme::Prepare, Scheme::Reactive, Scheme::NoIntervention] {
@@ -2066,9 +2010,9 @@ mod tests {
     fn rejects_foreign_samples() {
         let mut c = test_cluster();
         let mut ctl = mk_controller(Scheme::Prepare);
-        ctl.on_sample(
+        ctl.on_readings(
             Timestamp::ZERO,
-            &[(VmId(9), sample_for(0, 1.0, 1.0))],
+            &[(VmId(9), StampedSample::fresh(sample_for(0, 1.0, 1.0)))],
             false,
             &mut c,
         );

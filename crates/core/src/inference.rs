@@ -37,21 +37,20 @@ const PAGING_FAULTS_PER_SEC: f64 = 100.0;
 /// coincidences and alert-storm on healthy state. Exhaustion is also
 /// precisely the condition PREPARE's prevention actions (resource
 /// scaling, migration to a bigger host) can actually fix.
-pub fn implicated_vms(series: &BTreeMap<VmId, TimeSeries>, slo: &SloLog) -> Vec<VmId> {
+pub fn implicated_vms(series: &[(VmId, &TimeSeries)], slo: &SloLog) -> Vec<VmId> {
     implicated_vms_par(series, slo, &ParConfig::serial())
 }
 
 /// [`implicated_vms`] with the per-VM scoring sharded across the workers
 /// of `par`. The scores — and therefore the implicated set — are
 /// identical for every worker count: each VM is scored purely from its
-/// own series, and the merge is keyed on VM id.
+/// own series, and the result is sorted by VM id.
 pub fn implicated_vms_par(
-    series: &BTreeMap<VmId, TimeSeries>,
+    series: &[(VmId, &TimeSeries)],
     slo: &SloLog,
     par: &ParConfig,
 ) -> Vec<VmId> {
-    let entries: Vec<(VmId, &TimeSeries)> = series.iter().map(|(&vm, ts)| (vm, ts)).collect();
-    let mut out: Vec<VmId> = prepare_par::par_map(par, entries, |(vm, ts)| {
+    let mut out: Vec<VmId> = prepare_par::par_map(par, series.to_vec(), |(vm, ts)| {
         (implication_score(ts, slo) >= 1.0).then_some(vm)
     })
     .into_iter()
@@ -459,10 +458,14 @@ mod implication_tests {
         (map, slo)
     }
 
+    fn by_id(series: &BTreeMap<VmId, TimeSeries>) -> Vec<(VmId, &TimeSeries)> {
+        series.iter().map(|(&vm, ts)| (vm, ts)).collect()
+    }
+
     #[test]
     fn faulty_vm_is_implicated_ripples_are_not() {
         let (series, slo) = fixture();
-        let implicated = implicated_vms(&series, &slo);
+        let implicated = implicated_vms(&by_id(&series), &slo);
         assert_eq!(implicated, vec![VmId(0)]);
     }
 
@@ -497,9 +500,9 @@ mod implication_tests {
     #[test]
     fn parallel_implication_matches_sequential() {
         let (series, slo) = fixture();
-        let expect = implicated_vms(&series, &slo);
+        let expect = implicated_vms(&by_id(&series), &slo);
         for workers in [1usize, 2, 7] {
-            let got = implicated_vms_par(&series, &slo, &ParConfig::with_workers(workers));
+            let got = implicated_vms_par(&by_id(&series), &slo, &ParConfig::with_workers(workers));
             assert_eq!(got, expect, "diverged at workers={workers}");
         }
     }
@@ -508,7 +511,7 @@ mod implication_tests {
     fn no_violations_means_no_implication() {
         let (series, _) = fixture();
         let quiet = SloLog::new();
-        assert!(implicated_vms(&series, &quiet).is_empty());
+        assert!(implicated_vms(&by_id(&series), &quiet).is_empty());
         assert_eq!(implication_score(&series[&VmId(0)], &quiet), 0.0);
     }
 }

@@ -50,9 +50,9 @@ mod validation;
 pub use analysis::{eval_violation_intervals, ExperimentReport};
 pub use config::{MigrationTargetPolicy, ParConfig, PrepareConfig, PreventionPolicy, ONLINE_ENV};
 pub use controller::{
-    ClusterIo, ClusterReply, ExecFailure, PrepareController, MAX_EPISODE_FAILURES,
-    MIGRATE_RETRY_BASE_SECS, MIGRATION_COOLDOWN_SECS, RETRY_BACKOFF_CAP_SECS,
-    SCALE_RETRY_BASE_SECS, SUPPRESSION_SECS, TRAINING_SETTLE_SECS, TRANSIENT_RETRY_LIMIT,
+    ClusterReply, ExecFailure, PrepareController, MAX_EPISODE_FAILURES, MIGRATE_RETRY_BASE_SECS,
+    MIGRATION_COOLDOWN_SECS, RETRY_BACKOFF_CAP_SECS, SCALE_RETRY_BASE_SECS, SUPPRESSION_SECS,
+    TRAINING_SETTLE_SECS, TRANSIENT_RETRY_LIMIT,
 };
 pub use events::{ActionFailureKind, ControllerEvent};
 pub use experiment::{

@@ -13,7 +13,7 @@
 //!    consumed. The journal is truncated at each checkpoint.
 //!
 //! Recovery loads the last checkpoint and re-drives the journal suffix
-//! through [`PrepareController::on_readings_replay`]: the controller's
+//! through the controller's control round in replay mode: the controller's
 //! internal state evolves exactly as before the crash, while plan /
 //! execute / inspect touches consume the *recorded* replies — the live
 //! cluster, which already absorbed those actuations, is never contacted
@@ -36,14 +36,15 @@
 //! would hold. Any epsilon would let real divergence (a lost vote, a
 //! double-counted training sample) hide inside the tolerance.
 
+use crate::controller::ClusterIo;
 use crate::{ControllerEvent, PrepareController};
 use prepare_cloudsim::Cluster;
 use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::{Fingerprint64, StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 01).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP01");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 02).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP02");
 
 /// One journaled control round: everything needed to re-drive the round
 /// through the controller without a cluster.
@@ -350,14 +351,13 @@ impl RecoveryManager {
         slo_violated: bool,
         cluster: &mut Cluster,
     ) -> Vec<ControllerEvent> {
-        let (mut events, replies) =
-            self.controller
-                .on_readings_recorded(now, readings, slo_violated, cluster);
+        let mut io = ClusterIo::live(cluster);
+        let mut events = self.controller.round(now, readings, slo_violated, &mut io);
         let record = TickRecord {
             now,
             readings: readings.to_vec(),
             slo_violated,
-            replies,
+            replies: io.into_log(),
         };
         self.journal.append(&record);
         self.journal.barrier();
@@ -424,12 +424,12 @@ impl RecoveryManager {
         let scan = Journal::scan(&image.journal);
         let mut journal = Journal::new();
         for record in &scan.records {
-            controller.on_readings_replay(
-                record.now,
-                &record.readings,
-                record.slo_violated,
-                &record.replies,
-            );
+            // A replayed round that diverges from its recorded replies
+            // means the restored state does not match the state that
+            // wrote the journal, which recovery must not paper over.
+            let mut io = ClusterIo::replay(&record.replies);
+            controller.round(record.now, &record.readings, record.slo_violated, &mut io);
+            io.assert_drained();
             journal.append(record);
             journal.barrier();
         }
@@ -579,6 +579,16 @@ mod tests {
             Checkpoint::read(&bad, ParConfig::serial()).unwrap_err(),
             PersistError::BadMagic { .. }
         ));
+        // A version-01 frame.
+        let mut old = image.clone();
+        old[..8].copy_from_slice(b"PRPCKP01");
+        assert_eq!(
+            Checkpoint::read(&old, ParConfig::serial()).unwrap_err(),
+            PersistError::BadMagic {
+                found: u64::from_le_bytes(*b"PRPCKP01"),
+                expected: CHECKPOINT_MAGIC,
+            }
+        );
         // Flipped payload byte.
         let mut bad = image.clone();
         let mid = bad.len() / 2;

@@ -4,17 +4,16 @@
 //! Everything TAN learns is a function of three count families:
 //! per-class row counts (the prior), per-attribute per-class value
 //! counts (root CPTs), and per-attribute-pair per-class joint counts
-//! (CMI edge weights and edge CPTs). All three are *additive*: a window
-//! slide is `add_row` for entering samples and `retire_row` for
-//! expiring ones — no rebuild.
+//! (CMI edge weights and edge CPTs). All three are *additive*: a new
+//! sample is one `add_row` — no rebuild.
 //!
 //! Bit-identity with the dataset path is structural, not tested-in:
 //! [`TanStats::classifier`] derives probabilities through the exact same
 //! code the dataset rebuild uses ([`RootCpt::from_counts`],
 //! [`EdgeCpt::from_counts`], [`cmi_from_joints`],
 //! [`max_spanning_tree`], [`log_prior_ratio_from_counts`]), and all
-//! counts are integer-valued f64 (exact up to 2^53), so add/retire
-//! deltas restore prior states bit-for-bit. The crate's proptests
+//! counts are integer-valued f64 (exact up to 2^53), so the order rows
+//! arrive in cannot change a single bit. The crate's proptests
 //! assert exact equality against `TanClassifier::train` anyway.
 
 use crate::chow_liu::max_spanning_tree;
@@ -89,6 +88,11 @@ impl TanStats {
         self.rows == 0
     }
 
+    /// Per-attribute value cardinalities.
+    pub fn cardinalities(&self) -> &[usize] {
+        &self.cardinalities
+    }
+
     /// `(normal, abnormal)` row counts.
     pub fn class_counts(&self) -> (usize, usize) {
         (self.class_counts[0], self.class_counts[1])
@@ -107,7 +111,7 @@ impl TanStats {
         }
     }
 
-    /// Applies a +1 delta: one labeled row enters the training window.
+    /// Applies a +1 delta: one labeled row enters the training history.
     ///
     /// # Panics
     ///
@@ -128,42 +132,6 @@ impl TanStats {
             for j in (i + 1)..n {
                 // xtask-allow: index-in-loop -- k walks the pair list in lockstep with (i, j); values validated
                 self.joints[k][c][row[i]][row[j]] += 1.0;
-                k += 1;
-            }
-        }
-    }
-
-    /// Applies a −1 delta: one labeled row leaves the training window.
-    /// Counts are integer-valued f64, so `add_row` then `retire_row`
-    /// restores every table bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics on arity mismatch, out-of-range values, or retiring a row
-    /// that was never added (any count would go negative).
-    // xtask: hot-path
-    pub fn retire_row(&mut self, row: &[usize], label: Label) {
-        self.validate(row);
-        let c = label.is_abnormal() as usize;
-        assert!(
-            self.class_counts[c] > 0,
-            "retiring a row from an empty class"
-        );
-        self.class_counts[c] -= 1;
-        self.rows -= 1;
-        for (m, &v) in self.marg.iter_mut().zip(row) {
-            // xtask-allow: index-in-loop -- c ∈ {0,1}; v < cardinality by validate()
-            assert!(m[c][v] >= 1.0, "retiring an unseen attribute value");
-            m[c][v] -= 1.0; // xtask-allow: index-in-loop -- same cell as the guard above
-        }
-        let n = self.cardinalities.len();
-        let mut k = 0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // xtask-allow: index-in-loop -- k walks the pair list in lockstep with (i, j); values validated
-                let cell = &mut self.joints[k][c][row[i]][row[j]];
-                assert!(*cell >= 1.0, "retiring an unseen value pair");
-                *cell -= 1.0;
                 k += 1;
             }
         }
@@ -196,7 +164,7 @@ impl TanStats {
 
     /// Derives a trained classifier from the current statistics — the
     /// delta-apply equivalent of `TanClassifier::train` on a dataset
-    /// holding exactly the non-retired rows, bit-identical to it.
+    /// holding exactly the added rows, bit-identical to it.
     pub fn classifier(&self) -> Result<TanClassifier, TrainError> {
         let log_prior_ratio =
             log_prior_ratio_from_counts(self.rows, (self.class_counts[0], self.class_counts[1]))?;
@@ -326,13 +294,10 @@ mod tests {
         let bytes = prepare_metrics::persist::to_bytes(&stats);
         let mut restored: TanStats = prepare_metrics::persist::from_bytes(&bytes).unwrap();
         assert_eq!(restored, stats);
-        // Slide the window on both copies and require identical models.
-        for (i, (r, l)) in rows[70..].iter().enumerate() {
+        // Continue the stream on both copies and require identical models.
+        for (r, l) in &rows[70..] {
             stats.add_row(r, *l);
             restored.add_row(r, *l);
-            let (old, ol) = &rows[i];
-            stats.retire_row(old, *ol);
-            restored.retire_row(old, *ol);
         }
         assert_bit_identical(
             &restored.classifier().unwrap(),
@@ -368,73 +333,6 @@ mod tests {
         let from_stats = stats.classifier().unwrap();
         let from_dataset = train_reference(&rows, &cards).unwrap();
         assert_bit_identical(&from_stats, &from_dataset);
-    }
-
-    #[test]
-    fn window_slide_is_bit_identical_to_rebuild() {
-        let (rows, cards) = leak_rows();
-        let window = 40;
-        let mut stats = TanStats::new(cards.clone());
-        for (r, l) in rows.iter().take(window) {
-            stats.add_row(r, *l);
-        }
-        for start in 1..=(rows.len() - window) {
-            let (old_r, old_l) = &rows[start - 1];
-            let (new_r, new_l) = &rows[start + window - 1];
-            stats.retire_row(old_r, *old_l);
-            stats.add_row(new_r, *new_l);
-            let rebuilt = train_reference(&rows[start..start + window], &cards);
-            match (stats.classifier(), rebuilt) {
-                (Ok(a), Ok(b)) => assert_bit_identical(&a, &b),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("paths diverged at slide {start}: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn add_then_retire_restores_statistics_bit_for_bit() {
-        let (rows, cards) = leak_rows();
-        let mut stats = TanStats::new(cards);
-        for (r, l) in rows.iter().take(30) {
-            stats.add_row(r, *l);
-        }
-        let before = stats.clone();
-        for (r, l) in rows.iter().skip(30).take(50) {
-            stats.add_row(r, *l);
-        }
-        assert_ne!(stats, before);
-        for (r, l) in rows.iter().skip(30).take(50) {
-            stats.retire_row(r, *l);
-        }
-        assert_eq!(stats, before);
-        // PartialEq on f64 treats -0.0 == 0.0; compare raw bits too.
-        let bits = |s: &TanStats| {
-            let mut out: Vec<u64> = Vec::new();
-            for m in &s.marg {
-                out.extend(m.iter().flatten().map(|c| c.to_bits()));
-            }
-            for j in &s.joints {
-                out.extend(j.iter().flatten().flatten().map(|c| c.to_bits()));
-            }
-            out
-        };
-        assert_eq!(bits(&stats), bits(&before));
-    }
-
-    #[test]
-    fn full_eviction_restores_the_empty_state() {
-        let (rows, cards) = leak_rows();
-        let fresh = TanStats::new(cards.clone());
-        let mut stats = TanStats::new(cards);
-        for (r, l) in &rows {
-            stats.add_row(r, *l);
-        }
-        for (r, l) in &rows {
-            stats.retire_row(r, *l);
-        }
-        assert_eq!(stats, fresh);
-        assert_eq!(stats.classifier(), Err(TrainError::EmptyDataset));
     }
 
     #[test]
@@ -497,12 +395,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "retiring a row from an empty class")]
-    fn retire_from_empty_panics() {
-        TanStats::with_uniform_bins(2, 2).retire_row(&[0, 0], Label::Normal);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn add_rejects_out_of_range_values() {
         TanStats::with_uniform_bins(2, 2).add_row(&[0, 2], Label::Normal);
@@ -541,26 +433,17 @@ mod proptests {
     }
 
     proptest! {
-        // For any random stream and window size, the delta-applied
-        // statistics equal a from-scratch rebuild of the same window —
-        // exactly, at every slide position, including the error cases.
+        // For any random stream, the delta-applied statistics equal a
+        // from-scratch rebuild of every prefix — exactly, including the
+        // error cases.
         #[test]
-        fn sliding_window_equals_rebuild(input in arb_stream(), window in 1usize..40) {
+        fn growing_stream_equals_rebuild(input in arb_stream()) {
             let (bins, stream) = input;
             let attrs = stream[0].0.len();
-            let window = window.min(stream.len());
             let mut stats = TanStats::with_uniform_bins(attrs, bins);
-            for (r, ab) in stream.iter().take(window) {
+            for (end, (r, ab)) in stream.iter().enumerate() {
                 stats.add_row(r, Label::from_violation(*ab));
-            }
-            for start in 0..=(stream.len() - window) {
-                if start > 0 {
-                    let (old_r, old_ab) = &stream[start - 1];
-                    let (new_r, new_ab) = &stream[start + window - 1];
-                    stats.retire_row(old_r, Label::from_violation(*old_ab));
-                    stats.add_row(new_r, Label::from_violation(*new_ab));
-                }
-                let expect = rebuild(&stream[start..start + window], attrs, bins);
+                let expect = rebuild(&stream[..=end], attrs, bins);
                 match (stats.classifier(), expect) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(&a, &b);
@@ -569,30 +452,9 @@ mod proptests {
                         prop_assert_eq!(abits, bbits);
                     }
                     (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                    (a, b) => prop_assert!(false, "paths diverged at slide {}: {:?} vs {:?}", start, a, b),
+                    (a, b) => prop_assert!(false, "paths diverged at prefix {}: {:?} vs {:?}", end, a, b),
                 }
             }
-        }
-
-        // Retiring an entire suffix batch restores the statistics
-        // bit-for-bit, down to full eviction.
-        #[test]
-        fn retire_round_trip_is_exact(input in arb_stream(), keep in 0usize..40) {
-            let (bins, stream) = input;
-            let attrs = stream[0].0.len();
-            let keep = keep.min(stream.len());
-            let mut stats = TanStats::with_uniform_bins(attrs, bins);
-            for (r, ab) in stream.iter().take(keep) {
-                stats.add_row(r, Label::from_violation(*ab));
-            }
-            let before = stats.clone();
-            for (r, ab) in stream.iter().skip(keep) {
-                stats.add_row(r, Label::from_violation(*ab));
-            }
-            for (r, ab) in stream.iter().skip(keep) {
-                stats.retire_row(r, Label::from_violation(*ab));
-            }
-            prop_assert_eq!(stats, before);
         }
     }
 }

@@ -237,7 +237,7 @@ pub fn policy_for(rel: &str) -> FilePolicy {
         };
     }
     // Timing harnesses: wall-clock reads are their purpose (Table I).
-    let timing = rel.starts_with("crates/bench/") || rel.starts_with("shims/criterion/");
+    let timing = rel.starts_with("crates/bench/");
     // The task runner itself is a CLI tool, not simulation-visible code,
     // but it is held to the same panic-debt and determinism standard.
     FilePolicy {
@@ -512,7 +512,7 @@ pub fn f() -> f64 { g() }
         assert!(!policy_for("crates/core/src/controller.rs").wall_clock_allowed);
         assert!(!policy_for("crates/apps/tests/app_properties.rs").count_panic_debt);
         assert!(policy_for("crates/bench/src/harness.rs").wall_clock_allowed);
-        assert!(policy_for("shims/criterion/src/lib.rs").wall_clock_allowed);
+        assert!(!policy_for("shims/rand/src/lib.rs").wall_clock_allowed);
         assert!(!policy_for("examples/quickstart.rs").determinism);
     }
 

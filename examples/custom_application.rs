@@ -11,7 +11,7 @@
 use prepare_repro::apps::{AppTick, Application, ComponentSpec, FaultKind, FaultPlan};
 use prepare_repro::cloudsim::{Cluster, HostSpec, Monitor};
 use prepare_repro::core::{PrepareConfig, PrepareController, Scheme};
-use prepare_repro::metrics::{Duration, MetricSample, Timestamp, VmId};
+use prepare_repro::metrics::{Duration, StampedSample, Timestamp, VmId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -141,11 +141,14 @@ fn main() {
             violation_secs[usize::from(t >= 800)] += 1;
         }
         if t % 5 == 0 {
-            let samples: Vec<(VmId, MetricSample)> = vms
+            let readings: Vec<(VmId, StampedSample)> = vms
                 .iter()
-                .map(|&vm| (vm, monitor.sample(&cluster, vm, now, &mut rng)))
+                .map(|&vm| {
+                    let sample = monitor.sample(&cluster, vm, now, &mut rng);
+                    (vm, StampedSample::fresh(sample))
+                })
                 .collect();
-            for event in controller.on_sample(now, &samples, tick.slo_violated, &mut cluster) {
+            for event in controller.on_readings(now, &readings, tick.slo_violated, &mut cluster) {
                 println!("  {event}");
             }
         }
