@@ -104,8 +104,10 @@ impl Persist for FleetTrainer {
     fn store(&self, w: &mut Writer) {
         self.config.store(w);
         w.put_usize(self.slots);
-        self.combined.store(w);
-        self.fallback.store(w);
+        for arena in [&self.combined, &self.fallback] {
+            w.put_usize(arena.len());
+            w.put_sparse_f64s(arena.len(), arena.iter().copied());
+        }
         self.tan.store(w);
         self.ranges.store(w);
         self.basis.store(w);
@@ -117,8 +119,30 @@ impl Persist for FleetTrainer {
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let config = PredictorConfig::load(r)?;
         let slots = r.get_usize()?;
-        let combined: Vec<f64> = Persist::load(r)?;
-        let fallback: Vec<f64> = Persist::load(r)?;
+        if slots == 0 {
+            return Err(PersistError::Invalid("FleetTrainer slot count"));
+        }
+        // The arena lengths follow from the config and slot count; check
+        // the stored ones before decoding a word.
+        let n = config.bins;
+        let arity = |power: u32| {
+            n.checked_pow(power)
+                .and_then(|block| block.checked_mul(ATTRIBUTE_COUNT))
+                .and_then(|slot| slot.checked_mul(slots))
+                .ok_or(PersistError::Invalid("FleetTrainer arena arity"))
+        };
+        let combined_want = match config.markov {
+            MarkovKind::Simple => 0,
+            MarkovKind::TwoDependent => arity(3)?,
+        };
+        let mut arena = |want: usize| {
+            if r.get_usize()? != want {
+                return Err(PersistError::Invalid("FleetTrainer arena arity"));
+            }
+            r.get_sparse_f64s(want)
+        };
+        let combined = arena(combined_want)?;
+        let fallback = arena(arity(2)?)?;
         let tan: Vec<TanStats> = Persist::load(r)?;
         let ranges: Vec<Option<(f64, f64)>> = Persist::load(r)?;
         let basis: Vec<Discretizer> = Persist::load(r)?;
@@ -126,17 +150,7 @@ impl Persist for FleetTrainer {
         let labels: Vec<Vec<Label>> = Persist::load(r)?;
         let tail: Vec<Vec<DiscreteVector>> = Persist::load(r)?;
         let dirty: Vec<bool> = Persist::load(r)?;
-        if slots == 0 {
-            return Err(PersistError::Invalid("FleetTrainer slot count"));
-        }
-        let n = config.bins;
-        let combined_want = match config.markov {
-            MarkovKind::Simple => 0,
-            MarkovKind::TwoDependent => slots * ATTRIBUTE_COUNT * n * n * n,
-        };
-        if combined.len() != combined_want
-            || fallback.len() != slots * ATTRIBUTE_COUNT * n * n
-            || tan.len() != slots
+        if tan.len() != slots
             || ranges.len() != slots * ATTRIBUTE_COUNT
             || basis.len() != slots * ATTRIBUTE_COUNT
             || series.len() != slots

@@ -15,6 +15,11 @@
 //!
 //! Every timed section runs best-of-N ([`TRIALS`]) so a shared machine's
 //! scheduler noise cannot fabricate a slowdown.
+//!
+//! Each checkpoint row also carries a `before` object: the row this file
+//! recorded for the dense count-arena layout ([`DENSE_ROWS`]), and the
+//! size ratio against it. The 4096-VM ratio is reported next to the
+//! ≥10× size target it is measured against, met or not.
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +49,19 @@ const JOURNAL_FLEET: usize = 256;
 
 /// Journal suffix lengths (records) swept by the recovery-time leg.
 const JOURNAL_LENGTHS: [u64; 4] = [1, 8, 32, 128];
+
+/// Checkpoint rows `(vms, checkpoint_bytes, serialize_ms, restore_ms)`
+/// recorded by this bench while checkpoints stored every count arena
+/// densely (one raw `f64` per word) and kept three copies of each VM's
+/// history, before the count arenas were sparse-encoded.
+const DENSE_ROWS: [(usize, usize, f64, f64); 3] = [
+    (256, 66_943_464, 208.766, 155.454),
+    (1024, 267_772_392, 824.095, 582.330),
+    (4096, 1_071_088_104, 7342.133, 3496.965),
+];
+
+/// The checkpoint size reduction at 4096 VMs the sparse layout aims for.
+const TARGET_SIZE_RATIO: f64 = 10.0;
 
 /// A synthetic 13-attribute sample, phase-shifted per VM so per-VM
 /// state (and therefore checkpoint payloads) differ across the fleet.
@@ -105,6 +123,9 @@ struct JournalRow {
 
 fn main() {
     let par = ParConfig::from_env();
+    let hardware_workers = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1);
 
     println!("== Checkpoint serialize/restore vs controller fleet size ==");
     println!(
@@ -233,6 +254,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"recovery\",\n");
+    json.push_str(&format!("  \"hardware_workers\": {hardware_workers},\n"));
+    json.push_str(&format!("  \"workers\": {},\n", par.workers));
     json.push_str(&format!("  \"trials\": {TRIALS},\n"));
     json.push_str(&format!("  \"warm_rounds\": {WARM_ROUNDS},\n"));
     json.push_str(
@@ -240,13 +263,27 @@ fn main() {
          sampling rounds is serialized and restored, best-of-N; the restored model fingerprint \
          is asserted equal to the live one before numbers are reported. journal leg: recovery \
          re-drives a journal suffix of the given length through replay on top of the initial \
-         checkpoint, 256-VM fleet, fingerprint-gated like the checkpoint leg\",\n",
+         checkpoint, 256-VM fleet, fingerprint-gated like the checkpoint leg. before: the \
+         row recorded for the dense count-arena checkpoint layout, which also kept three \
+         copies of each VM's history (not re-measured here); size_ratio is \
+         before.checkpoint_bytes / checkpoint_bytes\",\n",
     );
     json.push_str("  \"checkpoint\": [\n");
+    let dense_row = |vms: usize| DENSE_ROWS.iter().find(|row| row.0 == vms);
     for (i, r) in checkpoint_rows.iter().enumerate() {
+        let before = dense_row(r.vms)
+            .map(|&(_, bytes, serialize_ms, restore_ms)| {
+                let ratio = bytes as f64 / r.bytes as f64;
+                format!(
+                    ", \"before\": {{\"checkpoint_bytes\": {bytes}, \"serialize_ms\": \
+                     {serialize_ms:.3}, \"restore_ms\": {restore_ms:.3}}}, \"size_ratio\": \
+                     {ratio:.2}"
+                )
+            })
+            .unwrap_or_default();
         json.push_str(&format!(
             "    {{\"vms\": {}, \"checkpoint_bytes\": {}, \"serialize_ms\": {:.3}, \
-             \"restore_ms\": {:.3}}}{}\n",
+             \"restore_ms\": {:.3}{before}}}{}\n",
             r.vms,
             r.bytes,
             r.serialize_ms,
@@ -259,6 +296,17 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    let largest = FLEETS[FLEETS.len() - 1];
+    let ratio = checkpoint_rows
+        .iter()
+        .find(|r| r.vms == largest)
+        .zip(dense_row(largest))
+        .map_or(0.0, |(r, row)| row.1 as f64 / r.bytes as f64);
+    json.push_str(&format!(
+        "  \"size_target\": {{\"vms\": {largest}, \"target_ratio\": {TARGET_SIZE_RATIO:.1}, \
+         \"measured_ratio\": {ratio:.2}, \"met\": {}}},\n",
+        ratio >= TARGET_SIZE_RATIO
+    ));
     json.push_str(&format!("  \"journal_fleet_vms\": {JOURNAL_FLEET},\n"));
     json.push_str("  \"journal\": [\n");
     for (i, r) in journal_rows.iter().enumerate() {

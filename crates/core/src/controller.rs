@@ -1199,7 +1199,7 @@ impl PrepareController {
     /// byte-identity the recovery-equivalence proofs compare. A recovered
     /// controller's log legitimately carries extra crash/recovery events,
     /// so the log must not perturb [`PrepareController::model_fingerprint`].
-    fn store_core(&self, w: &mut Writer) {
+    pub(crate) fn store_core(&self, w: &mut Writer) {
         self.config.store_state(w);
         self.scheme.store(w);
         self.vms.store(w);
@@ -1226,6 +1226,12 @@ impl PrepareController {
     /// is rebuilt on restore.
     pub fn store_state(&self, w: &mut Writer) {
         self.store_core(w);
+        self.store_log(w);
+    }
+
+    /// Serializes the event log — the part of
+    /// [`PrepareController::store_state`] that follows the core state.
+    pub(crate) fn store_log(&self, w: &mut Writer) {
         self.events.store(w);
     }
 
@@ -1301,17 +1307,6 @@ impl PrepareController {
         fp.write_bytes(&w.into_bytes());
         fp.finish()
     }
-
-    /// Size in bytes of the serialized core state (everything except the
-    /// event log) — the figure [`ControllerEvent::CheckpointTaken`]
-    /// reports, chosen so referee and recovered runs (whose logs differ
-    /// by the crash/recovery events) emit byte-identical checkpoints
-    /// bookkeeping.
-    pub fn core_state_bytes(&self) -> usize {
-        let mut w = Writer::new();
-        self.store_core(&mut w);
-        w.len()
-    }
 }
 
 #[cfg(test)]
@@ -1354,21 +1349,28 @@ mod tests {
         rounds: std::ops::Range<u64>,
     ) {
         for i in rounds {
-            let t = i * 5;
-            let phase = i % 120;
-            let free = match phase {
-                0..=39 => 500.0,
-                40..=89 => 500.0 - (phase - 39) as f64 * 10.0,
-                90..=109 => 0.0,
-                _ => 500.0,
-            };
-            let violated = free < 50.0;
-            let readings = vec![
-                (VmId(0), StampedSample::fresh(sample_for(t, 40.0, free))),
-                (VmId(1), StampedSample::fresh(sample_for(t, 30.0, 400.0))),
-            ];
-            controller.on_readings(Timestamp::from_secs(t), &readings, violated, cluster);
+            let (now, readings, violated) = round_inputs(i);
+            controller.on_readings(now, &readings, violated, cluster);
         }
+    }
+
+    /// Round `i` of the [`drive`] scenario: its time, readings and SLO
+    /// status.
+    fn round_inputs(i: u64) -> (Timestamp, Vec<(VmId, StampedSample)>, bool) {
+        let t = i * 5;
+        let phase = i % 120;
+        let free = match phase {
+            0..=39 => 500.0,
+            40..=89 => 500.0 - (phase - 39) as f64 * 10.0,
+            90..=109 => 0.0,
+            _ => 500.0,
+        };
+        let violated = free < 50.0;
+        let readings = vec![
+            (VmId(0), StampedSample::fresh(sample_for(t, 40.0, free))),
+            (VmId(1), StampedSample::fresh(sample_for(t, 30.0, 400.0))),
+        ];
+        (Timestamp::from_secs(t), readings, violated)
     }
 
     fn test_cluster() -> Cluster {
@@ -2022,5 +2024,87 @@ mod tests {
     #[should_panic(expected = "at least one VM")]
     fn rejects_empty_vm_set() {
         let _ = PrepareController::new(vec![], PrepareConfig::default(), Scheme::Prepare);
+    }
+
+    /// `CheckpointTaken.bytes` is the length of the `store_core` section
+    /// of the frame sealed in the same round: the frame holds magic,
+    /// length and tick, then exactly those core bytes, then the log.
+    #[test]
+    fn checkpoint_taken_reports_the_sealed_core_section() {
+        let mut c = test_cluster();
+        let mut config = PrepareConfig::default();
+        config.predictor.bins = 3;
+        let ctl = PrepareController::new(vec![VmId(0), VmId(1)], config, Scheme::Prepare);
+        let mut manager = crate::RecoveryManager::new(ctl, 40);
+        let mut seals = 0;
+        for i in 0..160 {
+            let (now, readings, violated) = round_inputs(i);
+            let events = manager.tick(now, &readings, violated, &mut c);
+            let Some(bytes) = events.iter().find_map(|e| match e {
+                ControllerEvent::CheckpointTaken { bytes, .. } => Some(*bytes),
+                _ => None,
+            }) else {
+                continue;
+            };
+            seals += 1;
+            let frame = manager.crash_image().checkpoint;
+            let mut core = Writer::new();
+            manager.controller().store_core(&mut core);
+            let mut log = Writer::new();
+            manager.controller().store_log(&mut log);
+            assert_eq!(bytes, core.len(), "round {i}");
+            assert_eq!(&frame[24..24 + bytes], core.bytes(), "round {i}");
+            assert_eq!(
+                &frame[24 + bytes..frame.len() - 8],
+                log.bytes(),
+                "round {i}"
+            );
+        }
+        assert_eq!(seals, 4);
+        assert!(manager.controller().is_trained());
+    }
+
+    /// A small trained controller's state bytes, and the tick they are
+    /// sealed at, for the hostile-bytes proptest (built once).
+    fn trained_state_bytes() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let mut c = test_cluster();
+            let mut config = PrepareConfig::default();
+            config.predictor.bins = 3;
+            let mut ctl = PrepareController::new(vec![VmId(1), VmId(0)], config, Scheme::Prepare);
+            drive(&mut ctl, &mut c, 0..160);
+            assert!(ctl.is_trained(), "the sweep must cover trained models");
+            let mut w = Writer::new();
+            ctl.store_state(&mut w);
+            w.into_bytes()
+        })
+    }
+
+    // Damaged state bytes, re-sealed with a valid checksum so the decoder
+    // itself meets the damage, either fail with a typed error or decode to
+    // a controller that re-seals to the very same frame: never a panic,
+    // never a silent misparse.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        #[test]
+        fn hostile_state_bytes_fail_typed_or_round_trip(
+            flips in proptest::collection::vec((0usize..1 << 30, 0u32..8), 0..4),
+            cut in proptest::option::of(0usize..1 << 30),
+        ) {
+            let mut bytes = trained_state_bytes().to_vec();
+            let len = bytes.len();
+            for &(at, bit) in &flips {
+                bytes[at % len] ^= 1 << bit;
+            }
+            if let Some(cut) = cut {
+                bytes.truncate(cut % len);
+            }
+            let frame = crate::recovery::Checkpoint::seal(3, 0, |w| w.put_raw(&bytes));
+            if let Ok((back, tick)) = crate::Checkpoint::read(&frame, ParConfig::serial()) {
+                proptest::prop_assert_eq!(tick, 3);
+                proptest::prop_assert!(crate::Checkpoint::write(&back, tick) == frame);
+            }
+        }
     }
 }

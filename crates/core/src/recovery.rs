@@ -6,7 +6,9 @@
 //! 1. **Checkpoint** — a framed snapshot of the complete controller
 //!    state ([`PrepareController::store_state`]): magic + version, a
 //!    length-prefixed payload, and an FNV-1a checksum over the payload.
-//!    Written every `checkpoint_every` ticks.
+//!    Written every `checkpoint_every` ticks, in one pass: the payload is
+//!    serialized straight into the frame, whose length is patched in and
+//!    checksum appended once it is complete.
 //! 2. **Write-ahead journal** — one [`TickRecord`] per control round
 //!    appended *after* the round ran: the round's inputs (timestamp,
 //!    stamped readings, SLO status) plus every cluster reply the round
@@ -43,8 +45,30 @@ use prepare_metrics::persist::{Persist, PersistError, Reader, Writer};
 use prepare_metrics::{Fingerprint64, StampedSample, Timestamp, VmId};
 use prepare_par::ParConfig;
 
-/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 02).
-pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP02");
+/// Magic + version sealing a checkpoint frame ("PRPCKP" + version 03).
+pub const CHECKPOINT_MAGIC: u64 = u64::from_le_bytes(*b"PRPCKP03");
+
+/// Opens a frame at the end of `w`: a `u64` length placeholder that
+/// [`close_frame`] patches once the payload behind it is written.
+/// Returns the placeholder's offset.
+fn open_frame(w: &mut Writer) -> usize {
+    let at = w.len();
+    w.put_u64(0);
+    at
+}
+
+/// Closes the frame opened at `at`: patches in the length of everything
+/// written since the placeholder and appends the FNV-1a checksum over it.
+/// Checkpoints and journal records share this framing.
+fn close_frame(w: &mut Writer, at: usize) {
+    let payload = &w.bytes()[at + 8..];
+    let len = payload.len() as u64;
+    let mut fp = Fingerprint64::new();
+    fp.write_bytes(payload);
+    let sum = fp.finish();
+    w.patch_u64(at, len);
+    w.put_u64(sum);
+}
 
 /// One journaled control round: everything needed to re-drive the round
 /// through the controller without a cluster.
@@ -94,7 +118,7 @@ pub struct JournalScan {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
     /// Encoded frames, in append order.
-    buf: Vec<u8>,
+    buf: Writer,
     /// Records appended (durable or not).
     records: usize,
     /// Bytes covered by the last [`Journal::barrier`].
@@ -112,16 +136,9 @@ impl Journal {
     /// Stages one record. Not durable until the next
     /// [`Journal::barrier`].
     pub fn append(&mut self, record: &TickRecord) {
-        let mut payload = Writer::new();
-        record.store(&mut payload);
-        let payload = payload.into_bytes();
-        let mut fp = Fingerprint64::new();
-        fp.write_bytes(&payload);
-        let mut frame = Writer::new();
-        frame.put_usize(payload.len());
-        frame.put_raw(&payload);
-        frame.put_u64(fp.finish());
-        self.buf.extend_from_slice(&frame.into_bytes());
+        let at = open_frame(&mut self.buf);
+        record.store(&mut self.buf);
+        close_frame(&mut self.buf, at);
         self.records += 1;
     }
 
@@ -164,7 +181,7 @@ impl Journal {
             .durable_bytes
             .saturating_add(torn_tail_bytes)
             .min(self.buf.len());
-        self.buf[..end].to_vec()
+        self.buf.bytes()[..end].to_vec()
     }
 
     /// Decodes a journal image frame by frame. A frame whose length
@@ -225,17 +242,20 @@ impl Checkpoint {
     /// Serializes `controller` (as of tick index `tick`) into a sealed
     /// checkpoint frame.
     pub fn write(controller: &PrepareController, tick: u64) -> Vec<u8> {
-        let mut payload = Writer::new();
-        payload.put_u64(tick);
-        controller.store_state(&mut payload);
-        let payload = payload.into_bytes();
-        let mut fp = Fingerprint64::new();
-        fp.write_bytes(&payload);
-        let mut w = Writer::new();
+        Checkpoint::seal(tick, 0, |w| controller.store_state(w))
+    }
+
+    /// The one checkpoint framing path: magic, a length placeholder and
+    /// `tick`, then whatever `state` serializes, straight into a writer
+    /// with room for `capacity` bytes; the length is patched and the
+    /// checksum appended in place, so the payload is never copied.
+    pub(crate) fn seal(tick: u64, capacity: usize, state: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::with_capacity(capacity);
         w.put_u64(CHECKPOINT_MAGIC);
-        w.put_usize(payload.len());
-        w.put_raw(&payload);
-        w.put_u64(fp.finish());
+        let at = open_frame(&mut w);
+        w.put_u64(tick);
+        state(&mut w);
+        close_frame(&mut w, at);
         w.into_bytes()
     }
 
@@ -363,25 +383,33 @@ impl RecoveryManager {
         self.journal.barrier();
         self.tick += 1;
         if self.tick.is_multiple_of(self.checkpoint_every) {
-            // The event reports the *core* state size: a recovered run's
-            // full checkpoint legitimately carries extra crash/recovery
-            // events in its log, and the recovery-equivalence proofs
-            // compare post-recovery event streams byte-for-byte.
-            let bytes = self.controller.core_state_bytes();
-            let taken = ControllerEvent::CheckpointTaken { at: now, bytes };
-            let truncated = ControllerEvent::JournalTruncated {
-                at: now,
-                records: self.journal.records(),
-            };
-            // Both bookkeeping events land in the log *before* the
-            // checkpoint seals, so a restore from this checkpoint
-            // carries them — otherwise a crash on the next round would
-            // rebuild a log missing its own truncation marker.
-            self.controller.record_event(taken.clone());
-            self.controller.record_event(truncated.clone());
-            events.push(taken);
-            events.push(truncated);
-            self.checkpoint = Checkpoint::write(&self.controller, self.tick);
+            let controller = &mut self.controller;
+            let records = self.journal.records();
+            // The state grows between seals: leave headroom over the
+            // last frame so the writer does not reallocate mid-seal.
+            let capacity = self.checkpoint.len() + self.checkpoint.len() / 8;
+            self.checkpoint = Checkpoint::seal(self.tick, capacity, |w| {
+                let core = w.len();
+                controller.store_core(w);
+                // The event reports the *core* state size: a recovered
+                // run's log legitimately carries extra crash/recovery
+                // events, and the recovery-equivalence proofs compare
+                // post-recovery event streams byte-for-byte.
+                let taken = ControllerEvent::CheckpointTaken {
+                    at: now,
+                    bytes: w.len() - core,
+                };
+                let truncated = ControllerEvent::JournalTruncated { at: now, records };
+                // Both bookkeeping events land in the log *before* it is
+                // sealed, so a restore from this checkpoint carries them
+                // — otherwise a crash on the next round would rebuild a
+                // log missing its own truncation marker.
+                controller.record_event(taken.clone());
+                controller.record_event(truncated.clone());
+                events.push(taken);
+                events.push(truncated);
+                controller.store_log(w);
+            });
             self.journal.truncate();
         }
         events
@@ -579,16 +607,18 @@ mod tests {
             Checkpoint::read(&bad, ParConfig::serial()).unwrap_err(),
             PersistError::BadMagic { .. }
         ));
-        // A version-01 frame.
-        let mut old = image.clone();
-        old[..8].copy_from_slice(b"PRPCKP01");
-        assert_eq!(
-            Checkpoint::read(&old, ParConfig::serial()).unwrap_err(),
-            PersistError::BadMagic {
-                found: u64::from_le_bytes(*b"PRPCKP01"),
-                expected: CHECKPOINT_MAGIC,
-            }
-        );
+        // Version-01 and version-02 (dense count arenas) frames.
+        for version in [b"PRPCKP01", b"PRPCKP02"] {
+            let mut old = image.clone();
+            old[..8].copy_from_slice(version);
+            assert_eq!(
+                Checkpoint::read(&old, ParConfig::serial()).unwrap_err(),
+                PersistError::BadMagic {
+                    found: u64::from_le_bytes(*version),
+                    expected: CHECKPOINT_MAGIC,
+                }
+            );
+        }
         // Flipped payload byte.
         let mut bad = image.clone();
         let mid = bad.len() / 2;

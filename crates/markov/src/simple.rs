@@ -250,22 +250,26 @@ impl Persist for SimpleMarkov {
     fn store(&self, w: &mut Writer) {
         w.put_usize(self.n);
         w.put_f64(self.alpha);
-        self.counts.store(w);
+        w.put_usize(self.counts.len());
+        w.put_sparse_f64s(self.counts.len(), self.counts.iter().copied());
         self.current.store(w);
         w.put_usize(self.observations);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_usize()?;
         let alpha = r.get_f64()?;
-        let counts: Vec<f64> = Persist::load(r)?;
-        let current: Option<usize> = Persist::load(r)?;
-        let observations = r.get_usize()?;
         if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
             return Err(PersistError::Invalid("SimpleMarkov parameters"));
         }
-        if counts.len() != n * n {
+        let arity = n
+            .checked_mul(n)
+            .ok_or(PersistError::Invalid("SimpleMarkov counts arity"))?;
+        if r.get_usize()? != arity {
             return Err(PersistError::Invalid("SimpleMarkov counts arity"));
         }
+        let counts = r.get_sparse_f64s(arity)?;
+        let current: Option<usize> = Persist::load(r)?;
+        let observations = r.get_usize()?;
         if current.is_some_and(|c| c >= n) {
             return Err(PersistError::Invalid("SimpleMarkov position"));
         }

@@ -361,7 +361,8 @@ impl Persist for TwoDependentMarkov {
     fn store(&self, w: &mut Writer) {
         w.put_usize(self.n);
         w.put_f64(self.alpha);
-        self.counts.store(w);
+        w.put_usize(self.counts.len());
+        w.put_sparse_f64s(self.counts.len(), self.counts.iter().copied());
         self.fallback.store(w);
         self.prev.store(w);
         self.current.store(w);
@@ -370,15 +371,22 @@ impl Persist for TwoDependentMarkov {
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = r.get_usize()?;
         let alpha = r.get_f64()?;
-        let counts: Vec<f64> = Persist::load(r)?;
+        if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
+            return Err(PersistError::Invalid("TwoDependentMarkov parameters"));
+        }
+        let arity = n
+            .checked_mul(n)
+            .and_then(|n2| n2.checked_mul(n))
+            .ok_or(PersistError::Invalid("TwoDependentMarkov counts arity"))?;
+        if r.get_usize()? != arity {
+            return Err(PersistError::Invalid("TwoDependentMarkov counts arity"));
+        }
+        let counts = r.get_sparse_f64s(arity)?;
         let fallback = SimpleMarkov::load(r)?;
         let prev: Option<usize> = Persist::load(r)?;
         let current: Option<usize> = Persist::load(r)?;
         let observations = r.get_usize()?;
-        if n == 0 || !(alpha.is_finite() && alpha >= 0.0) {
-            return Err(PersistError::Invalid("TwoDependentMarkov parameters"));
-        }
-        if counts.len() != n * n * n || fallback.n_states() != n {
+        if fallback.n_states() != n {
             return Err(PersistError::Invalid("TwoDependentMarkov counts arity"));
         }
         if prev.is_some_and(|p| p >= n) || current.is_some_and(|c| c >= n) {

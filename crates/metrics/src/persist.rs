@@ -12,6 +12,18 @@
 //! The no-serde rule (workspace `Cargo.toml`) is why this is hand-rolled;
 //! the JSON module ([`crate::json`]) stays the human-readable trace
 //! format, this module is the machine-exact state format.
+//!
+//! **Sparse count slices.** Count arenas (Markov transition counts, TAN
+//! marginal and joint counts) are mostly zeros holding small integers, so
+//! they travel through [`Writer::put_sparse_f64s`] instead of one raw
+//! word each: a zero bitmap of `ceil(len / 8)` bytes (bit `i % 8` of byte
+//! `i / 8` set when word `i` is non-zero, padding bits clear), then every
+//! non-zero word in order. A word that is a positive integer below 2^53
+//! is a LEB128 varint of `v << 1` (low bit clear); any other non-zero
+//! word is the tag byte `1` followed by its 8 raw bits. The slice length
+//! is not written — the caller's already-decoded shape implies it — and
+//! [`Reader::get_sparse_f64s`] accepts only this canonical form, so a
+//! decoded slice re-encodes to exactly the bytes it came from.
 
 use crate::{Duration, MetricSample, MetricVector, Timestamp, ATTRIBUTE_COUNT};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -65,8 +77,46 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
+/// Largest integer (exclusive) a sparse word carries as a varint: every
+/// integer below 2^53 is exactly representable, so the varint form loses
+/// nothing.
+const SPARSE_INT_LIMIT: u64 = 1 << 53;
+
+/// Mantissa bits of an `f64`.
+const MANTISSA_BITS: u32 = 52;
+
+/// Exponent bias of an `f64`.
+const EXPONENT_BIAS: u64 = 1023;
+
+/// The integer an `f64` bit pattern holds when it is a positive integer
+/// below 2^53, decided on the bits alone (no float comparison).
+fn positive_integer(bits: u64) -> Option<u64> {
+    // Sign clear and a biased exponent in [1023, 1023 + 52]: the value
+    // lies in [1, 2^53).
+    let exponent = (bits >> MANTISSA_BITS).checked_sub(EXPONENT_BIAS)?;
+    if exponent > u64::from(MANTISSA_BITS) {
+        return None;
+    }
+    let fraction_bits = u64::from(MANTISSA_BITS) - exponent;
+    let significand = (bits & ((1 << MANTISSA_BITS) - 1)) | (1 << MANTISSA_BITS);
+    if significand & ((1 << fraction_bits) - 1) != 0 {
+        return None;
+    }
+    Some(significand >> fraction_bits)
+}
+
+/// The exact `f64` bit pattern of an integer in `[1, 2^53)` (the inverse
+/// of [`positive_integer`]).
+fn integer_bits(v: u64) -> u64 {
+    debug_assert!((1..SPARSE_INT_LIMIT).contains(&v));
+    let exponent = u64::from(63 - v.leading_zeros());
+    let fraction_bits = u64::from(MANTISSA_BITS) - exponent;
+    ((exponent + EXPONENT_BIAS) << MANTISSA_BITS)
+        | ((v << fraction_bits) & ((1 << MANTISSA_BITS) - 1))
+}
+
 /// An append-only byte sink with fixed little-endian primitive layouts.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Writer {
     buf: Vec<u8>,
 }
@@ -75,6 +125,13 @@ impl Writer {
     /// An empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// An empty writer with room for `bytes` bytes before it reallocates.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Appends one byte.
@@ -118,6 +175,54 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Overwrites the little-endian `u64` at byte offset `at` — the
+    /// length placeholder of a frame whose payload is now complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at + 8` exceeds the bytes written so far (a framing bug,
+    /// never a property of the data).
+    pub fn patch_u64(&mut self, at: usize, v: u64) {
+        self.buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends `len` count words in the sparse encoding (module docs):
+    /// the zero bitmap, then each non-zero word. `words` must yield
+    /// exactly `len` values; the length itself is not written.
+    pub fn put_sparse_f64s(&mut self, len: usize, words: impl IntoIterator<Item = f64>) {
+        let bitmap = self.buf.len();
+        self.buf.resize(bitmap + len.div_ceil(8), 0);
+        let mut i = 0usize;
+        // Internal iteration: callers pass nested `flatten` chains, which
+        // `for_each` walks without re-checking every level per word.
+        words.into_iter().for_each(|v| {
+            let bits = v.to_bits();
+            if bits != 0 {
+                if let Some(byte) = self.buf.get_mut(bitmap + i / 8) {
+                    *byte |= 1 << (i % 8);
+                }
+                match positive_integer(bits) {
+                    Some(n) => self.put_varint(n << 1),
+                    None => {
+                        self.put_u8(1);
+                        self.put_u64(bits);
+                    }
+                }
+            }
+            i += 1;
+        });
+        debug_assert_eq!(i, len, "sparse slice length");
+    }
+
+    /// Appends `v` as an unsigned LEB128 varint.
+    fn put_varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.put_u8(v.to_le_bytes()[0] | 0x80);
+            v >>= 7;
+        }
+        self.put_u8(v.to_le_bytes()[0]);
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -136,6 +241,11 @@ impl Writer {
     /// Consumes the writer, yielding the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Drops every byte written, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 }
 
@@ -265,6 +375,99 @@ impl<'a> Reader<'a> {
     /// [`PersistError::Truncated`] at end of buffer.
     pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         self.take(n, "raw bytes")
+    }
+
+    /// Reads `len` count words written by [`Writer::put_sparse_f64s`].
+    /// The bitmap is taken (bounds-checked) before the output is
+    /// allocated, so a corrupt `len` fails as truncation, never as a huge
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Truncated`] at end of buffer;
+    /// [`PersistError::Invalid`] for set bitmap padding bits, a literal
+    /// that decodes to `+0.0`, a varint that is over-long, overflows or
+    /// carries an integer that is not below 2^53, and a raw literal that
+    /// should have been a varint; [`PersistError::BadTag`] for a raw
+    /// literal tag other than `1`.
+    pub fn get_sparse_f64s(&mut self, len: usize) -> Result<Vec<f64>, PersistError> {
+        let bitmap = self.take(len.div_ceil(8), "sparse bitmap")?;
+        let tail_bits = len % 8;
+        if tail_bits != 0 && bitmap.last().is_some_and(|&b| b >> tail_bits != 0) {
+            return Err(PersistError::Invalid("sparse bitmap padding bits"));
+        }
+        let mut out = Vec::with_capacity(len);
+        for &byte in bitmap {
+            let width = (len - out.len()).min(8);
+            if byte == 0 {
+                out.resize(out.len() + width, 0.0);
+                continue;
+            }
+            for bit in 0..width {
+                out.push(if (byte >> bit) & 1 == 0 {
+                    0.0
+                } else {
+                    f64::from_bits(self.get_sparse_word()?)
+                });
+            }
+        }
+        Ok(out)
+    }
+
+    /// Reads one non-zero sparse word, returning its bit pattern.
+    fn get_sparse_word(&mut self) -> Result<u64, PersistError> {
+        let first = self.get_u8()?;
+        if first & 1 == 1 {
+            if first != 1 {
+                return Err(PersistError::BadTag {
+                    what: "sparse literal",
+                    tag: first,
+                });
+            }
+            let bits = self.get_u64()?;
+            if bits == 0 {
+                return Err(PersistError::Invalid("sparse literal is +0.0"));
+            }
+            if positive_integer(bits).is_some() {
+                return Err(PersistError::Invalid("sparse literal not canonical"));
+            }
+            return Ok(bits);
+        }
+        let tagged = self.get_varint(first)?;
+        let v = tagged >> 1;
+        if v == 0 {
+            return Err(PersistError::Invalid("sparse literal is +0.0"));
+        }
+        if v >= SPARSE_INT_LIMIT {
+            return Err(PersistError::Invalid("sparse literal not canonical"));
+        }
+        Ok(integer_bits(v))
+    }
+
+    /// Reads the rest of an unsigned LEB128 varint whose first byte is
+    /// `first`, rejecting over-long (more than 10 bytes or a redundant
+    /// zero final byte) and overflowing encodings.
+    fn get_varint(&mut self, first: u8) -> Result<u64, PersistError> {
+        let mut value = u64::from(first & 0x7f);
+        let mut byte = first;
+        // Bit offset of the byte just read; the tenth byte sits at 63.
+        let mut shift = 0u32;
+        while byte & 0x80 != 0 {
+            if shift == 63 {
+                return Err(PersistError::Invalid("varint longer than 10 bytes"));
+            }
+            byte = self.get_u8()?;
+            shift += 7;
+            let chunk = u64::from(byte & 0x7f);
+            if shift == 63 && chunk > 1 {
+                return Err(PersistError::Invalid("varint overflows u64"));
+            }
+            value |= chunk << shift;
+        }
+        if shift > 0 && byte == 0 {
+            return Err(PersistError::Invalid("varint not canonical"));
+        }
+        Ok(value)
     }
 }
 
@@ -442,6 +645,11 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
         for _ in 0..len {
             let k = K::load(r)?;
             let v = V::load(r)?;
+            // Keys are stored ascending; anything else would re-encode
+            // differently (or silently drop a duplicate).
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(PersistError::Invalid("map keys not strictly ascending"));
+            }
             out.insert(k, v);
         }
         Ok(out)
@@ -459,7 +667,11 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
         let len = r.get_usize()?;
         let mut out = BTreeSet::new();
         for _ in 0..len {
-            out.insert(T::load(r)?);
+            let v = T::load(r)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(PersistError::Invalid("set items not strictly ascending"));
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -692,6 +904,177 @@ mod tests {
         assert_eq!(
             res,
             Err(PersistError::Invalid("trailing bytes after value"))
+        );
+    }
+
+    fn sparse(words: &[f64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_sparse_f64s(words.len(), words.iter().copied());
+        w.into_bytes()
+    }
+
+    fn unsparse(bytes: &[u8], len: usize) -> Result<Vec<f64>, PersistError> {
+        let mut r = Reader::new(bytes);
+        let out = r.get_sparse_f64s(len)?;
+        if !r.is_exhausted() {
+            return Err(PersistError::Invalid("trailing bytes after value"));
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn sparse_slices_round_trip_bit_exactly() {
+        let words = [
+            0.0,
+            -0.0,
+            1.0,
+            63.0,
+            64.0,
+            127.0,
+            128.0,
+            0.5,
+            1.5,
+            4_503_599_627_370_497.0, // 2^52 + 1: no fraction bits left
+            9_007_199_254_740_991.0, // 2^53 - 1: largest varint
+            9_007_199_254_740_992.0, // 2^53: raw
+            -3.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+            f64::MAX,
+        ];
+        for len in 0..=words.len() {
+            let back = unsparse(&sparse(&words[..len]), len).expect("decodes");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&words[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sparse_sizes_are_pinned() {
+        // An all-zero slice of N words is its bitmap alone.
+        for n in [0usize, 1, 7, 8, 9, 64, 1000] {
+            assert_eq!(sparse(&vec![0.0; n]).len(), n.div_ceil(8), "{n} zeros");
+        }
+        // A count below 64 is one byte; 64..8192 is two.
+        for v in [1.0, 2.0, 63.0] {
+            assert_eq!(sparse(&[v]).len(), 1 + 1, "{v}");
+        }
+        assert_eq!(sparse(&[64.0]).len(), 1 + 2);
+        assert_eq!(sparse(&[8191.0]).len(), 1 + 2);
+        assert_eq!(sparse(&[8192.0]).len(), 1 + 3);
+        assert_eq!(sparse(&[9_007_199_254_740_991.0]).len(), 1 + 8);
+        // A non-integer (or otherwise non-count) word is a tag plus 8 bytes.
+        for v in [0.5, -1.0, -0.0, 9_007_199_254_740_992.0, f64::NAN] {
+            assert_eq!(sparse(&[v]).len(), 1 + 9, "{v}");
+        }
+        // A 10-bin Markov row with two small counts.
+        let mut row = [0.0; 10];
+        row[3] = 4.0;
+        row[9] = 1.0;
+        assert_eq!(sparse(&row).len(), 2 + 1 + 1);
+    }
+
+    #[test]
+    fn sparse_rejects_non_canonical_bytes() {
+        // Padding bits past `len` in the last bitmap byte.
+        assert_eq!(
+            unsparse(&[0b0000_1000], 3),
+            Err(PersistError::Invalid("sparse bitmap padding bits"))
+        );
+        // A varint literal of zero, and a raw literal of +0.0.
+        assert_eq!(
+            unsparse(&[1, 0], 1),
+            Err(PersistError::Invalid("sparse literal is +0.0"))
+        );
+        let mut raw_zero = vec![1, 1];
+        raw_zero.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            unsparse(&raw_zero, 1),
+            Err(PersistError::Invalid("sparse literal is +0.0"))
+        );
+        // A varint of eleven bytes.
+        let mut long = vec![1];
+        long.extend_from_slice(&[0x80; 10]);
+        long.push(0);
+        assert_eq!(
+            unsparse(&long, 1),
+            Err(PersistError::Invalid("varint longer than 10 bytes"))
+        );
+        // A ten-byte varint that overflows u64.
+        let mut over = vec![1];
+        over.extend_from_slice(&[0x82; 9]);
+        over.push(0x02);
+        assert_eq!(
+            unsparse(&over, 1),
+            Err(PersistError::Invalid("varint overflows u64"))
+        );
+        // A varint with a redundant zero final byte.
+        assert_eq!(
+            unsparse(&[1, 0x82, 0x00], 1),
+            Err(PersistError::Invalid("varint not canonical"))
+        );
+        // A varint carrying 2^53, which must travel raw.
+        let mut big = Writer::new();
+        big.put_u8(1);
+        big.put_varint((1u64 << 53) << 1);
+        assert_eq!(
+            unsparse(big.bytes(), 1),
+            Err(PersistError::Invalid("sparse literal not canonical"))
+        );
+        // A raw literal that should have been a varint.
+        let mut raw_one = vec![1, 1];
+        raw_one.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+        assert_eq!(
+            unsparse(&raw_one, 1),
+            Err(PersistError::Invalid("sparse literal not canonical"))
+        );
+        // Raw-literal tags other than 1.
+        for tag in [3u8, 0x81, 0xff] {
+            let mut bad = vec![1, tag];
+            bad.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+            assert_eq!(
+                unsparse(&bad, 1),
+                Err(PersistError::BadTag {
+                    what: "sparse literal",
+                    tag
+                })
+            );
+        }
+        // A bitmap promising more words than the buffer holds, and a
+        // length whose bitmap alone overruns the buffer.
+        assert!(matches!(
+            unsparse(&[0b11], 2),
+            Err(PersistError::Truncated { .. })
+        ));
+        assert!(matches!(
+            unsparse(&[0; 4], 1 << 40),
+            Err(PersistError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn maps_and_sets_reject_unordered_keys() {
+        let mut w = Writer::new();
+        w.put_usize(2);
+        for k in [3u64, 1] {
+            w.put_u64(k);
+            w.put_u64(0);
+        }
+        let res: Result<BTreeMap<u64, u64>, _> = from_bytes(w.bytes());
+        assert_eq!(
+            res,
+            Err(PersistError::Invalid("map keys not strictly ascending"))
+        );
+        let mut w = Writer::new();
+        w.put_usize(2);
+        w.put_u64(4);
+        w.put_u64(4);
+        let res: Result<BTreeSet<u64>, _> = from_bytes(w.bytes());
+        assert_eq!(
+            res,
+            Err(PersistError::Invalid("set items not strictly ascending"))
         );
     }
 

@@ -203,32 +203,48 @@ impl TanStats {
 }
 
 impl Persist for TanStats {
+    /// The count tables travel as two sparse slices (marginals, then
+    /// joints) in row-major order; their shape comes from
+    /// `cardinalities`, so no per-row length is written.
     fn store(&self, w: &mut Writer) {
         self.cardinalities.store(w);
         w.put_usize(self.rows);
         self.class_counts.store(w);
-        self.marg.store(w);
-        self.joints.store(w);
+        let (marg_len, joint_len) = table_lens(&self.cardinalities).unwrap_or_default();
+        w.put_sparse_f64s(marg_len, self.marg.iter().flatten().flatten().copied());
+        w.put_sparse_f64s(
+            joint_len,
+            self.joints.iter().flatten().flatten().flatten().copied(),
+        );
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let cardinalities: Vec<usize> = Persist::load(r)?;
         let rows = r.get_usize()?;
         let class_counts: [usize; 2] = Persist::load(r)?;
-        let marg: Vec<[Vec<f64>; 2]> = Persist::load(r)?;
-        let joints: Vec<[Vec<Vec<f64>>; 2]> = Persist::load(r)?;
-        let n = cardinalities.len();
-        if n == 0 || cardinalities.contains(&0) {
+        if cardinalities.is_empty() || cardinalities.contains(&0) {
             return Err(PersistError::Invalid("TanStats cardinalities"));
         }
-        if rows != class_counts[0] + class_counts[1] {
+        if class_counts[0].checked_add(class_counts[1]) != Some(rows) {
             return Err(PersistError::Invalid("TanStats row count"));
         }
-        if marg.len() != n || joints.len() != n * (n - 1) / 2 {
-            return Err(PersistError::Invalid("TanStats table arity"));
-        }
-        for (m, &c) in marg.iter().zip(&cardinalities) {
-            if m.iter().any(|row| row.len() != c) {
-                return Err(PersistError::Invalid("TanStats marginal shape"));
+        let (marg_len, joint_len) =
+            table_lens(&cardinalities).ok_or(PersistError::Invalid("TanStats table arity"))?;
+        let marg_flat = r.get_sparse_f64s(marg_len)?;
+        let joint_flat = r.get_sparse_f64s(joint_len)?;
+        let mut marg_words = marg_flat.into_iter();
+        let marg = cardinalities
+            .iter()
+            .map(|&c| [0, 1].map(|_| marg_words.by_ref().take(c).collect()))
+            .collect();
+        let mut joint_words = joint_flat.into_iter();
+        let mut joints = Vec::new();
+        for (i, &ci) in cardinalities.iter().enumerate() {
+            for &cj in cardinalities.iter().skip(i + 1) {
+                joints.push([0, 1].map(|_| {
+                    (0..ci)
+                        .map(|_| joint_words.by_ref().take(cj).collect())
+                        .collect()
+                }));
             }
         }
         Ok(TanStats {
@@ -239,6 +255,22 @@ impl Persist for TanStats {
             joints,
         })
     }
+}
+
+/// Words in the flattened marginal and joint tables for attributes of
+/// the given cardinalities: `2·Σ c_i` and `2·Σ_{i<j} c_i·c_j`, or `None`
+/// when either overflows (only a corrupt checkpoint can ask for that).
+fn table_lens(cardinalities: &[usize]) -> Option<(usize, usize)> {
+    let total = cardinalities
+        .iter()
+        .try_fold(0usize, |acc, &c| acc.checked_add(c))?;
+    let mut rest = total;
+    let mut joint = 0usize;
+    for &c in cardinalities {
+        rest -= c;
+        joint = joint.checked_add(c.checked_mul(rest)?)?;
+    }
+    Some((total.checked_mul(2)?, joint.checked_mul(2)?))
 }
 
 #[cfg(test)]
@@ -280,6 +312,22 @@ mod tests {
                 .collect::<Vec<u64>>()
         };
         assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn empty_stats_encode_to_their_bitmaps() {
+        // 13 attributes × 10 bins: a length-prefixed cardinality list,
+        // rows and class counts, then one bit per count word.
+        let stats = TanStats::with_uniform_bins(13, 10);
+        let bytes = prepare_metrics::persist::to_bytes(&stats);
+        let marg_words = 2 * 13 * 10;
+        let joint_words = 2 * (13 * 12 / 2) * 10 * 10;
+        assert_eq!(
+            bytes.len(),
+            8 + 13 * 8 + 8 + 16 + marg_words / 8 + 1 + joint_words / 8
+        );
+        let back: TanStats = prepare_metrics::persist::from_bytes(&bytes).unwrap();
+        assert_eq!(back, stats);
     }
 
     #[test]
